@@ -460,6 +460,8 @@ def suite_hnorm(cfg, rng):
     radius = 0.3 if alg.rank == 1 else 0.18
     lam = cfg.lams[0] if cfg.lams else (1.5 if alg.rank == 1
                                         else alg.peirce_a * (alg.rank - 1) / 2 + 2.0)
+    if not wallach.wallach_contains(lam, alg):
+        raise click.UsageError(f"lambda = {lam:g} lies outside the positive set")
     proj = fischer.projector(alg)
     out = []
     d = alg.dim_m + alg.siegel_n

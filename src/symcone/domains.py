@@ -7,12 +7,11 @@ pair zeta with z in the complexified algebra; membership means
 Im z - Phi(zeta, zeta) lies in the open cone.
 
 Kernels carry no normalizing constants: the Siegel kernel is the plain
-Delta^(-lambda) of the polarized argument, and bounded kernels are
-normalized so K(z, 0) = 1. For tube families the bounded kernel is the
-Siegel kernel transported through the Cayley transform; written as a cross
-ratio the fractional Jacobian powers cancel, so no extra branch choices
-appear. Type I has the determinant closed form, with the logarithm summed
-over eigenvalues so the branch is the continuous one.
+Delta^(-lambda) of the polarized argument, and the bounded kernel is
+h(z, w)^(-lambda), so K(z, 0) = 1. Every family computes log h in closed
+form as the sum of log(1 - mu) over the eigenvalues mu of a pencil: Z W*
+for the matrix families, a 2 x 2 closed form for the rank-2 spin factor.
+They lie in the unit disc, so the branch is the continuous one.
 """
 
 from __future__ import annotations
@@ -201,17 +200,6 @@ def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
     return BoundedPoint(alg, z1, None)
 
 
-def log_delta_upper(alg: AlgebraDescriptor, w: Element) -> complex:
-    """Continuous log of Delta(w) on the upper tube {Im w in the cone}.
-
-    Delta(i v) = i^rank Delta(v) as polynomials, so rotating the argument to
-    the right tube costs the constant i rank pi / 2; the value at w = i e
-    is i rank pi / 2, matching the principal branch there.
-    """
-    eta = Element(alg, -1j * w.as_complex().coords)
-    return 1j * alg.rank * np.pi / 2.0 + cones.log_delta_j(eta, alg.rank)
-
-
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -228,51 +216,58 @@ def kernel_siegel(lam: float, p: SiegelPoint, q: SiegelPoint) -> complex:
     return cones.delta_power_complex(arg, s)
 
 
-def _log_det_unit_pencil(M: np.ndarray) -> complex:
-    """Continuous log det(I - M) for a matrix with spectral radius < 1."""
-    mu = np.linalg.eigvals(M)
+def _spin_pencil(z: BoundedPoint, w: BoundedPoint) -> tuple[complex, complex]:
+    """(a + b, a b) with h(z, w) = (1 - a)(1 - b) on the rank-2 spin factor:
+    <u, v> and Delta(u) conj Delta(v) in the unitary z-chart."""
+    u = eja.to_zchart(z.z1.as_complex())
+    v = eja.to_zchart(w.z1.as_complex())
+    d2 = lambda c: c[0] * c[1] - 0.5 * np.sum(c[2:] ** 2)
+    return complex(np.vdot(v, u)), complex(d2(u) * np.conj(d2(v)))
+
+
+def _log_generic_norm(z: BoundedPoint, w: BoundedPoint) -> complex:
+    """Continuous log h(z, w): the sum of log(1 - mu) over the pencil
+    eigenvalues mu, zero at w = 0.
+
+    mu runs over the eigenvalues of Z W* for the matrix families and over
+    the two roots a, b for spin. Inside the domain they lie in the unit
+    disc, so the sum is the continuous branch. The quaternionic complex
+    picture doubles every eigenvalue, so its sum is halved.
+    """
+    if z.alg.family == "spin":
+        tr, det = _spin_pencil(z, w)
+        root = np.sqrt(tr * tr / 4.0 - det)
+        mu = np.array([tr / 2.0 + root, tr / 2.0 - root])
+    else:
+        mu = np.linalg.eigvals(z.full_matrix() @ w.full_matrix().conj().T)
     if np.max(np.abs(mu)) >= 1.0:
         raise ValueError("pencil eigenvalues reach the unit circle")
-    return complex(np.sum(np.log1p(-mu)))
+    out = complex(np.sum(np.log1p(-mu)))
+    return out / 2.0 if z.alg.family == "herm_quaternion" else out
 
 
 def kernel_bounded(lam: float, z: BoundedPoint, w: BoundedPoint) -> complex:
-    """Normalized kernel on the bounded domain, K(z, 0) = 1."""
-    alg = z.alg
-    if alg != w.alg:
+    """Normalized kernel h(z, w)^(-lambda) on the bounded domain, K(z, 0) = 1."""
+    if z.alg != w.alg:
         raise ValueError("mismatched algebras")
-    if alg.family == "herm_complex":
-        M = z.full_matrix() @ w.full_matrix().conj().T
-        return complex(np.exp(-lam * _log_det_unit_pencil(M)))
-    # tube families: transport the Siegel kernel; in the cross ratio the
-    # Cayley Jacobian powers cancel, and S(C0, C0) = 1
-    Cz, Cw = cayley(z), cayley(w)
-    C0 = siegel_base_point(alg)
-    num = kernel_siegel(lam, Cz, Cw) * kernel_siegel(lam, C0, C0)
-    den = kernel_siegel(lam, Cz, C0) * kernel_siegel(lam, C0, Cw)
-    return complex(num / den)
+    return complex(np.exp(-lam * _log_generic_norm(z, w)))
 
 
 def generic_norm(z: BoundedPoint, w: BoundedPoint) -> complex:
     """h(z, w): the sesquiholomorphic polynomial with K_lambda = h^(-lambda).
 
-    Closed forms where classical; the quaternionic family falls back to the
-    transported kernel at lambda = -1, which is polynomial in (z, conj w).
+    det(I - Z W*) for the real and complex matrix families and 1 - (a + b) + ab
+    for spin; the quaternionic h is the square root of that determinant,
+    taken on the continuous branch.
     """
     alg = z.alg
-    if alg.family == "herm_complex":
-        M = z.full_matrix() @ w.full_matrix().conj().T
-        return complex(np.linalg.det(np.eye(alg.size) - M))
-    if alg.family == "sym_real":
-        M = eja.embed_matrix(z.z1.as_complex()) @ np.conj(
-            eja.embed_matrix(w.z1.as_complex()))
-        return complex(np.linalg.det(np.eye(alg.size) - M))
     if alg.family == "spin":
-        u = eja.to_zchart(z.z1.as_complex())
-        v = eja.to_zchart(w.z1.as_complex())
-        d2 = lambda c: c[0] * c[1] - 0.5 * np.sum(c[2:] ** 2)
-        return complex(1.0 - np.vdot(v, u) + d2(u) * np.conj(d2(v)))
-    return kernel_bounded(-1.0, z, w)
+        tr, det = _spin_pencil(z, w)
+        return 1.0 - tr + det
+    if alg.family == "herm_quaternion":
+        return complex(np.exp(_log_generic_norm(z, w)))
+    M = z.full_matrix() @ w.full_matrix().conj().T
+    return complex(np.linalg.det(np.eye(alg.size) - M))
 
 
 # ---------------------------------------------------------------------------

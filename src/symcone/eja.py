@@ -351,10 +351,6 @@ def _quat_J(p: int) -> np.ndarray:
 # z-chart: unitary complex coordinates on Z_1 used by the polynomial layer
 # ---------------------------------------------------------------------------
 
-def zchart_dim(alg: AlgebraDescriptor) -> int:
-    return alg.dim_m
-
-
 def to_zchart(x: Element) -> np.ndarray:
     """Complex coordinate vector of x in the unitary chart of Z_1."""
     alg = x.alg

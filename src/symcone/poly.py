@@ -3,21 +3,22 @@
 Monomials are keyed by exponent tuples; coefficients are complex scalars.
 This representation is aimed at the moderate degrees (<= 60 in one variable,
 <= 12 in up to ~8 variables) used throughout the package, so everything is
-dictionary arithmetic plus vectorized evaluation. Coefficients with modulus
-below DROP_TOL relative to the largest coefficient are dropped on cleanup to
-keep dictionaries from silting up with float dust.
+dictionary arithmetic plus vectorized evaluation. Arithmetic keeps every
+nonzero coefficient; only cleanup(tol) drops those with modulus below tol
+relative to the largest one, to keep dictionaries from silting up with
+float dust.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
+from operator import add
 from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
 Exponent = Tuple[int, ...]
-
-DROP_TOL = 0.0  # exact arithmetic by default; cleanup() takes an explicit tol
 
 
 class SparsePolynomial:
@@ -135,7 +136,7 @@ class SparsePolynomial:
         oc = out.coeffs
         for a, ca in self.coeffs.items():
             for b, cb in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(a, b))
+                key = tuple(map(add, a, b))
                 oc[key] = oc.get(key, 0.0) + ca * cb
         out.coeffs = {a: c for a, c in oc.items() if c != 0}
         return out
@@ -281,6 +282,7 @@ class SparsePolynomial:
         return "SparsePolynomial(" + " + ".join(parts) + more + ")"
 
 
+@cache
 def monomial_factorial(alpha: Exponent) -> float:
     out = 1.0
     for k in alpha:

@@ -27,6 +27,7 @@ from .poly import SparsePolynomial
 
 PSD_HARD = 1e-8   # below -PSD_HARD * ||G||: a genuine negative witness
 PSD_SOFT = 1e-10  # above -PSD_SOFT * ||G||: numerically positive
+MAX_DIFFUSE_POINTS = 6  # largest diffuse configuration or frameless cluster
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +170,24 @@ def _small_rotation(rng: np.random.Generator, dim: int, scale: float) -> np.ndar
 
 
 def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
-                      realization: str, max_points: int):
+                      realization: str):
     """Symmetric +/- pair cluster around a base point.
 
     Positivity failures inside the gaps of the admissible parameter set are
     jet effects: a diffuse configuration never sees them.  When the minor
-    eigenframe fits the point budget the pairs follow it with balanced
-    scales, which pins the cluster's quadratic jet on the minor; otherwise
-    the directions are a random orthonormal set.
+    eigenframe exists the pairs follow it with balanced scales, two points
+    per direction, which pins the cluster's quadratic jet on the minor;
+    otherwise the directions are a random orthonormal set.
     """
     d = alg.dim_m + alg.siegel_n
     frame = _quadric_frame(alg)
-    if frame is not None and 2 * len(frame[0]) <= max_points:
+    if frame is not None:
         k = len(frame[0])
         dirs = np.zeros((d, k))
         dirs[: alg.dim_m] = _small_rotation(rng, alg.dim_m, 0.04) @ frame[1]
         eps_rel = frame[2]
     else:
-        k = max(1, min(max_points // 2, d))
+        k = max(1, min(MAX_DIFFUSE_POINTS // 2, d))
         dirs = np.linalg.qr(rng.standard_normal((d, k)))[0]
         eps_rel = rng.uniform(0.5, 1.0, size=k)
     eps0 = rng.uniform(0.05, 0.25)
@@ -215,14 +216,14 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
 
 
 def wallach_search(lam: float, alg: AlgebraDescriptor, trials: int,
-                   rng: np.random.Generator, realization: str = "bounded",
-                   max_points: int = 6,
-                   stop_on_witness: bool = True) -> GramReport:
+                   rng: np.random.Generator, realization: str = "bounded"
+                   ) -> GramReport:
     """Worst Gram report over random point configurations.
 
     Mixes diffuse configurations (uniform on the bounded domain, or the
     Siegel proposal sampler) with tight +/- pair clusters; the clusters are
     what exposes the sign failures strictly inside the continuous-part gaps.
+    Stops at the first NotPSD witness.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -231,9 +232,9 @@ def wallach_search(lam: float, alg: AlgebraDescriptor, trials: int,
     for _ in range(trials):
         pts = None
         if rng.uniform() < 0.5:
-            pts = _cluster_proposal(alg, rng, realization, max_points)
+            pts = _cluster_proposal(alg, rng, realization)
         if pts is None:
-            n = int(rng.integers(1, max_points + 1))
+            n = int(rng.integers(1, MAX_DIFFUSE_POINTS + 1))
             if realization == "siegel":
                 pts = [domains.sample_siegel(alg, rng, cfg)[0] for _ in range(n)]
             else:
@@ -241,7 +242,7 @@ def wallach_search(lam: float, alg: AlgebraDescriptor, trials: int,
         rep = psd_verdict(lam, pts)
         if worst is None or rep.ratio < worst.ratio:
             worst = rep
-        if stop_on_witness and worst.verdict == "NotPSD":
+        if worst.verdict == "NotPSD":
             break
     return worst
 

@@ -18,8 +18,6 @@ from fractions import Fraction
 from math import isclose
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 LATTICE_TOL = 1e-9
 
 Signature = Tuple[int, ...]
@@ -140,7 +138,3 @@ def enumerate_signatures(r: int, max_total_degree: int) -> List[Signature]:
     rec([], max_total_degree, max_total_degree)
     out.sort()
     return out
-
-
-def signature_degree(s: Sequence[int]) -> int:
-    return int(np.sum(np.asarray(s, dtype=int)))

@@ -84,6 +84,15 @@ def test_wallach_symreal2_gap(runner, tmp_path):
     assert verdicts[0.5] == "PSD" and verdicts[1.0] == "PSD"
 
 
+def test_wallach_herm_half_gap(runner):
+    # lambda = 1/2 lies outside {0, 1} u (1, inf) for herm_complex(2, 2); the
+    # witness needs a cluster on all four frame directions of the minor
+    res = invoke(runner, "wallach", "--family", "herm", "--p", "2",
+                 "--lambda", "0.5", "--trials", "300", "--seed", "3")
+    assert res.exit_code == 0
+    assert "pass 1 fail 0" in res.output
+
+
 def test_wallach_empty_grid_is_empty_report(runner, tmp_path):
     out = tmp_path / "empty.json"
     res = invoke(runner, "wallach", "--seed", "1", "--output", str(out))
@@ -147,6 +156,13 @@ def test_verify_hnorm_disc_trunc60(runner, tmp_path):
     repro = [r for r in rep["records"] if "reproducing" in r["name"]]
     assert len(repro) == 10
     assert all(r["status"] == "pass" for r in repro)
+
+
+def test_verify_hnorm_rejects_lambda_outside_positive_set(runner):
+    res = invoke(runner, "verify", "hnorm", "--family", "sym", "--rank", "2",
+                 "--lambda", "0.25", "--seed", "1")
+    assert res.exit_code == 2
+    assert "positive set" in res.output
 
 
 def test_verify_intertwine_negative_lambda(runner, tmp_path):

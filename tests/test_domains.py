@@ -265,6 +265,41 @@ def test_kernel_bounded_tube_matches_generic_norm():
             assert got == pytest.approx(h ** (-lam), rel=1e-8)
 
 
+def test_kernel_bounded_rejects_points_outside_the_domain():
+    rng = np.random.default_rng(5)
+    for alg in ALGS:
+        d = alg.dim_m + alg.siegel_n
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        s = domains.spectral_norm(domains.bounded_from_vector(alg, v))
+        z = domains.bounded_from_vector(alg, 1.2 * v / s)
+        with pytest.raises(ValueError):
+            domains.kernel_bounded(1.3, z, z)
+
+
+def cayley_cross_ratio(lam, z, w):
+    """Siegel kernel carried through the Cayley transform: in the cross ratio
+    the Jacobian powers cancel, and S(C0, C0) = 1."""
+    cz, cw = domains.cayley(z), domains.cayley(w)
+    c0 = domains.siegel_base_point(z.alg)
+    num = domains.kernel_siegel(lam, cz, cw) * domains.kernel_siegel(lam, c0, c0)
+    den = domains.kernel_siegel(lam, cz, c0) * domains.kernel_siegel(lam, c0, cw)
+    return num / den
+
+
+def test_kernel_bounded_matches_cayley_cross_ratio():
+    rng = np.random.default_rng(31)
+    for alg in [eja.sym_real(2), eja.sym_real(3), eja.herm_quaternion(2),
+                eja.spin_factor(4), eja.spin_factor(5)]:
+        for radius in (0.45, 0.9, 0.99):
+            for _ in range(4):
+                z = rand_bounded(alg, rng, radius=radius)
+                w = rand_bounded(alg, rng, radius=radius)
+                for lam in (-1.0, 0.5, 1.3, 2.5, 7.0):
+                    want = cayley_cross_ratio(lam, z, w)
+                    got = domains.kernel_bounded(lam, z, w)
+                    assert abs(got - want) <= 1e-10 * abs(want)
+
+
 def test_kernel_power_additivity_quaternion():
     alg = eja.herm_quaternion(2)
     for _ in range(5):

@@ -109,6 +109,16 @@ def test_wallach_search_needs_trials():
         spaces.wallach_search(1.0, DISC, 0, RNG)
 
 
+def test_wallach_search_frame_cluster_half_gap():
+    # lambda = 1/2 lies outside {0, 1} u (1, inf); the degree-2 minor has 4
+    # frame directions, so the witness needs an 8-point frame cluster
+    for alg in (eja.herm_complex(2), eja.spin_factor(4)):
+        assert not wallach.wallach_contains(0.5, alg)
+        for seed in range(3):
+            rep = spaces.wallach_search(0.5, alg, 40, np.random.default_rng(seed))
+            assert rep.verdict == "NotPSD"
+
+
 def test_wallach_search_deterministic():
     r1 = spaces.wallach_search(0.75, SR2, 60, np.random.default_rng(9))
     r2 = spaces.wallach_search(0.75, SR2, 60, np.random.default_rng(9))
@@ -282,6 +292,21 @@ def test_bergman_needs_integrable_weight():
     one = spaces.poly_function(DISC, SparsePolynomial.constant(1, 1.0))
     with pytest.raises(ValueError):
         spaces.bergman_norm_mc(one, 1.0, DISC, 100, RNG)
+
+
+@pytest.mark.parametrize("cfg", [
+    domains.SiegelSamplerConfig(),
+    domains.SiegelSamplerConfig(cauchy_x=True),
+], ids=["gauss", "cauchy"])
+def test_siegel_batch_sym_real2_matches_per_point_sampler(cfg):
+    W, logq, detY = spaces._siegel_batch_sym_real2(
+        SR2, 40, np.random.default_rng(17), cfg)
+    for i in range(len(W)):
+        p = domains.SiegelPoint(SR2, None, eja.unembed_matrix(SR2, W[i]))
+        want = domains.siegel_proposal_logdensity(p, cfg)
+        assert logq[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        defect = domains.siegel_defect(p)
+        assert detY[i] == pytest.approx(cones.delta_j(defect, 2), rel=1e-12)
 
 
 def test_bergman_siegel_proportional_to_series():
