@@ -288,8 +288,10 @@ def wallach_cmd(ctx, **kw):
     """Gram positivity scan over a parameter grid."""
     t0 = time.perf_counter()
     cfg = make_config(ctx, "wallach", **kw)
+    if not cfg.lams:
+        raise click.UsageError("give at least one --lambda (or 'lambda' in --config)")
     alg = resolve_family(cfg)
-    children = np.random.SeedSequence(cfg.seed).spawn(max(len(cfg.lams), 1))
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.lams))
     records = []
     for i, lam in enumerate(cfg.lams):
         t1 = time.perf_counter()

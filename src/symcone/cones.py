@@ -39,7 +39,8 @@ CONE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 def _entry_polys(alg: AlgebraDescriptor) -> List[List[SparsePolynomial]]:
-    """Matrix of chart-variable polynomials for the embedded picture."""
+    """Matrix of chart-variable polynomials for the embedded picture (for
+    herm_complex the full p x q matrix of BoundedPoint.as_vector)."""
     nv = alg.zdim
     var = lambda k: SparsePolynomial.variable(nv, k)
     if alg.family == "sym_real":
@@ -56,8 +57,10 @@ def _entry_polys(alg: AlgebraDescriptor) -> List[List[SparsePolynomial]]:
                 k += 1
         return E
     if alg.family == "herm_complex":
-        p = alg.size
-        return [[var(i * p + j) for j in range(p)] for i in range(p)]
+        # the full p x q picture: z1 entries, then the half-space block
+        p, q = alg.size, alg.cols
+        return [[var(i * p + j) if j < p else var(alg.dim_m + i * (q - p) + j - p)
+                 for j in range(q)] for i in range(p)]
     if alg.family == "herm_quaternion":
         n2 = 2 * alg.size
         E = [[SparsePolynomial.zero(nv) for _ in range(n2)] for _ in range(n2)]

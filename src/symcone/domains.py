@@ -360,13 +360,6 @@ class AffineMap:
             self.zeta0 = None
 
 
-def affine_identity(alg: AlgebraDescriptor) -> AffineMap:
-    zeta0 = np.zeros((alg.size, alg.cols - alg.size), dtype=complex) \
-        if alg.siegel_n else None
-    return AffineMap(alg, zeta0, Element(alg, np.zeros(alg.dim_m)),
-                     cones.identity_triangular(alg))
-
-
 def heisenberg_apply(alg, zeta0, x0: Element, p: SiegelPoint) -> SiegelPoint:
     """(zeta0, x0) . (zeta, z) = (zeta0+zeta, z + x0 + i Phi(zeta0) + 2i Phi(zeta, zeta0))."""
     shift = x0.as_complex() + 1j * phi_form(alg, zeta0, zeta0) \
@@ -458,31 +451,27 @@ class SiegelSamplerConfig:
     cauchy_x: bool = False
 
 
+def _lower_slots(alg: AlgebraDescriptor):
+    """(block index, unit) of every strictly lower triangular coordinate of a
+    matrix family, from eja's unit table: block row i, then block column
+    j < i, then unit."""
+    units = eja._UNITS[alg.family]
+    b = len(units[0])
+    return [(eja._block(b, i, j), u) for i in range(alg.size)
+            for j in range(i) for u in units]
+
+
 def _triangular_params(t: cones.TriangularElement) -> np.ndarray:
-    """Coordinates: log diagonal first, then the strictly lower block."""
-    alg = t.alg
-    if alg.family == "spin":
+    """Coordinates: log diagonal first, then the strictly lower block.
+
+    The lower coordinates follow _lower_slots: row by row, each block left
+    to right, each block unit by unit (1; 1, i; 1, i, j, k). Spin takes
+    (log t11, log t22, v).
+    """
+    if t.alg.family == "spin":
         return np.concatenate([[np.log(t.t11), np.log(t.t22)], t.v])
-    d = np.log(t.diagonal())
-    low = []
-    n = alg.size
-    if alg.family == "sym_real":
-        for i in range(1, n):
-            low.extend(t.mat[i, :i].real)
-    elif alg.family == "herm_complex":
-        for i in range(1, n):
-            low.extend(t.mat[i, :i].real)
-            low.extend(t.mat[i, :i].imag)
-    else:  # quaternion: 2x2 blocks below the diagonal
-        for i in range(1, n):
-            for j in range(i):
-                B = t.mat[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
-                a = (B[0, 0] + B[1, 1]) / 2.0
-                dq = (B[0, 0] - B[1, 1]) / 2j
-                b = (B[0, 1] - B[1, 0]) / 2.0
-                cq = (B[0, 1] + B[1, 0]) / 2j
-                low.extend([a.real, b.real, cq.real, dq.real])
-    return np.concatenate([d, np.asarray(low, dtype=float)])
+    low = [np.vdot(u, t.mat[blk]).real / len(u) for blk, u in _lower_slots(t.alg)]
+    return np.concatenate([np.log(t.diagonal()), np.asarray(low, dtype=float)])
 
 
 def _triangular_from_params(alg: AlgebraDescriptor, theta: np.ndarray):
@@ -492,68 +481,27 @@ def _triangular_from_params(alg: AlgebraDescriptor, theta: np.ndarray):
     if alg.family == "spin":
         return cones.TriangularElement(
             alg, t11=np.exp(theta[0]), t22=np.exp(theta[1]), v=theta[2:])
+    units = eja._UNITS[alg.family]
     n = alg.size
-    diag = np.exp(theta[:n])
-    rest = theta[n:]
-    if alg.family == "sym_real":
-        M = np.diag(diag).astype(float)
-        k = 0
-        for i in range(1, n):
-            M[i, :i] = rest[k: k + i]
-            k += i
-        return cones.TriangularElement(alg, mat=M)
-    if alg.family == "herm_complex":
-        M = np.diag(diag).astype(complex)
-        k = 0
-        for i in range(1, n):
-            M[i, :i] = rest[k: k + i] + 1j * rest[k + i: k + 2 * i]
-            k += 2 * i
-        return cones.TriangularElement(alg, mat=M)
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        M[2 * i, 2 * i] = M[2 * i + 1, 2 * i + 1] = diag[i]
-    k = 0
-    for i in range(1, n):
-        for j in range(i):
-            a, b, cq, dq = rest[k: k + 4]
-            k += 4
-            M[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = (
-                a * eja._QUNITS[0] + b * eja._QUNITS[1]
-                + cq * eja._QUNITS[2] + dq * eja._QUNITS[3])
+    M = np.kron(np.diag(np.exp(theta[:n])), units[0]).astype(np.result_type(*units))
+    for (blk, u), th in zip(_lower_slots(alg), theta[n:]):
+        M[blk] += th * u
     return cones.TriangularElement(alg, mat=M)
 
 
 def _param_directions(alg: AlgebraDescriptor, t: cones.TriangularElement):
-    """dt/dtheta_k as matrices (None for spin, handled in closed form)."""
-    n = alg.size
+    """dt/dtheta_k as matrices, in the order of _triangular_params."""
+    units = eja._UNITS[alg.family]
+    b = len(units[0])
     dirs = []
-    if alg.family == "herm_quaternion":
-        for i in range(n):
-            D = np.zeros((2 * n, 2 * n), dtype=complex)
-            D[2 * i, 2 * i] = D[2 * i + 1, 2 * i + 1] = t.mat[2 * i, 2 * i]
-            dirs.append(D)
-        for i in range(1, n):
-            for j in range(i):
-                for q in range(4):
-                    D = np.zeros((2 * n, 2 * n), dtype=complex)
-                    D[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = eja._QUNITS[q]
-                    dirs.append(D)
-        return dirs
-    for i in range(n):
-        D = np.zeros((n, n), dtype=complex)
-        D[i, i] = t.mat[i, i]
+    for i in range(alg.size):
+        D = np.zeros_like(t.mat, dtype=complex)
+        D[eja._block(b, i, i)] = t.mat[b * i, b * i] * units[0]
         dirs.append(D)
-    for i in range(1, n):
-        for j in range(i):
-            D = np.zeros((n, n), dtype=complex)
-            D[i, j] = 1.0
-            dirs.append(D)
-        if alg.family == "herm_complex":
-            # per row: real directions then imaginary, like _triangular_params
-            for j in range(i):
-                D = np.zeros((n, n), dtype=complex)
-                D[i, j] = 1j
-                dirs.append(D)
+    for blk, u in _lower_slots(alg):
+        D = np.zeros_like(t.mat, dtype=complex)
+        D[blk] = u
+        dirs.append(D)
     return dirs
 
 

@@ -20,6 +20,13 @@ coordinates for the spin factor (where the trace form carries weight 2 on the
 z block). The complexification Z_1 = F + iF uses the same chart with complex
 coefficients; the unitary "z-chart" used by the polynomial machinery is
 exposed through to_zchart / from_zchart.
+
+The unit table _UNITS is the one definition of each matrix family's
+coordinates: the block units 1 (sym_real), 1, i (herm_complex) and the
+quaternion units 1, i, j, k as 2 x 2 complex blocks (herm_quaternion). A
+diagonal block carries one coordinate along the first unit, a block above the
+diagonal one coordinate per unit. The coordinate matrices, the four chart
+maps and the triangular coordinates of domains are all built from it.
 """
 
 from __future__ import annotations
@@ -41,7 +48,16 @@ _QUNITS = (
     np.array([[1j, 0], [0, -1j]], dtype=complex),
 )
 
-_SQ2 = np.sqrt(2.0)
+# b x b block units of each matrix family, the first the identity (see the
+# module docstring). Only sym_real's are real, so its triangular factors stay
+# real.
+_UNITS = {
+    "sym_real": (np.ones((1, 1)),),
+    "herm_complex": (np.ones((1, 1)), np.full((1, 1), 1j)),
+    "herm_quaternion": _QUNITS,
+}
+
+_ISQ2 = np.sqrt(0.5)  # 1/sqrt(2) correctly rounded; 1 / sqrt(2.0) is an ulp low
 
 
 @dataclass(frozen=True)
@@ -224,11 +240,79 @@ def _trace_weights(alg: AlgebraDescriptor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# packed chart <-> concrete matrices
+# the unit table: packed chart <-> concrete matrices and the z-chart
 # ---------------------------------------------------------------------------
 
-def _sym_indices(r: int) -> List[Tuple[int, int]]:
-    return [(i, j) for i in range(r) for j in range(i, r)]
+def _block(b: int, i: int, j: int) -> Tuple[slice, slice]:
+    """Index of block (i, j) in a matrix of b x b blocks."""
+    return slice(b * i, b * i + b), slice(b * j, b * j + b)
+
+
+def _coord_matrices(alg: AlgebraDescriptor) -> np.ndarray:
+    """Stack of E_k with embed_matrix(x) = sum_k x_k E_k, in chart order.
+
+    Block row i, then block column j >= i, then unit: a diagonal block
+    carries the first unit, an off-diagonal one unit / sqrt(2) above the
+    diagonal and its adjoint below. Every E_k has tr(E_k^2) = b, the block
+    size.
+    """
+    units = _UNITS[alg.family]
+    b = len(units[0])
+    n = b * alg.size
+    out = []
+    for i in range(alg.size):
+        for j in range(i, alg.size):
+            for u in units[:1] if i == j else units:
+                E = np.zeros((n, n), dtype=complex)
+                if i == j:
+                    E[_block(b, i, i)] = u
+                else:
+                    E[_block(b, i, j)] = u * _ISQ2
+                    E[_block(b, j, i)] = u.conj().T * _ISQ2
+                out.append(E)
+    return np.array(out)
+
+
+def _chart(alg: AlgebraDescriptor) -> dict:
+    """Cached matrices of the four chart maps, each applied as coords @ M so
+    that a stack of points goes through unchanged.
+
+    'to_z' and 'from_z' for every family; 'embed', 'unembed' and the matrix
+    size 'n' for the matrix families only.
+    """
+    if "chart" in alg._cache:
+        return alg._cache["chart"]
+    out = {}
+    if alg.family == "spin":
+        C = np.diag(np.sqrt(_trace_weights(alg))).astype(complex)
+    else:
+        E = _coord_matrices(alg)
+        out["n"] = n = E.shape[1]
+        nn = n * n
+        out["embed"] = E.reshape(alg.dim_m, nn)
+        # the trace pairing tr(E_k M) / tr(E_k^2)
+        out["unembed"] = (E.transpose(0, 2, 1).reshape(alg.dim_m, nn).T
+                          / len(_UNITS[alg.family][0]))
+        if alg.family == "sym_real":
+            C = np.eye(alg.dim_m, dtype=complex)
+        elif alg.family == "herm_complex":
+            C = out["embed"].T
+        else:
+            # upper entries of the skew picture J H
+            iu = np.triu_indices(n, k=1)
+            C = (_quat_J(alg.size) @ E)[:, iu[0], iu[1]].T
+    # the chart is an isometry for the trace form: C* C = diag(weights)
+    out["to_z"] = C.T
+    out["from_z"] = (C.conj().T / _trace_weights(alg)[:, None]).T
+    alg._cache["chart"] = out
+    return out
+
+
+def _matrix_chart(alg: AlgebraDescriptor) -> dict:
+    chart = _chart(alg)
+    if "embed" not in chart:
+        raise ValueError("spin factor has no matrix embedding")
+    return chart
 
 
 def embed_matrix(x: Element) -> np.ndarray:
@@ -237,88 +321,14 @@ def embed_matrix(x: Element) -> np.ndarray:
     Complex coordinates give the complexified matrix so that the map is
     C-linear; spin elements have no matrix picture and are rejected.
     """
-    alg = x.alg
-    c = x.coords
-    if alg.family == "sym_real":
-        r = alg.size
-        M = np.zeros((r, r), dtype=complex)
-        for k, (i, j) in enumerate(_sym_indices(r)):
-            if i == j:
-                M[i, i] = c[k]
-            else:
-                M[i, j] = M[j, i] = c[k] / _SQ2
-        return M
-    if alg.family == "herm_complex":
-        p = alg.size
-        M = np.zeros((p, p), dtype=complex)
-        k = 0
-        for i in range(p):
-            M[i, i] += c[k]
-            k += 1
-            for j in range(i + 1, p):
-                re, im = c[k] / _SQ2, c[k + 1] / _SQ2
-                k += 2
-                # C-bilinear extension of x_ij = a + i b, x_ji = a - i b
-                M[i, j] += re + 1j * im
-                M[j, i] += re - 1j * im
-        return M
-    if alg.family == "herm_quaternion":
-        p = alg.size
-        M = np.zeros((2 * p, 2 * p), dtype=complex)
-        k = 0
-        for i in range(p):
-            M[2 * i: 2 * i + 2, 2 * i: 2 * i + 2] += c[k] * _QUNITS[0]
-            k += 1
-            for j in range(i + 1, p):
-                for u in range(4):
-                    comp = c[k] / _SQ2
-                    k += 1
-                    M[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] += comp * _QUNITS[u]
-                    # quaternion conjugate goes below the diagonal
-                    sgn = 1.0 if u == 0 else -1.0
-                    M[2 * j: 2 * j + 2, 2 * i: 2 * i + 2] += sgn * comp * _QUNITS[u]
-        return M
-    raise ValueError("spin factor has no matrix embedding")
+    chart = _matrix_chart(x.alg)
+    return (x.coords @ chart["embed"]).reshape(chart["n"], chart["n"])
 
 
 def unembed_matrix(alg: AlgebraDescriptor, M: np.ndarray) -> Element:
     """Inverse of embed_matrix (input assumed to lie in the embedded image)."""
-    if alg.family == "sym_real":
-        r = alg.size
-        c = np.empty(r * (r + 1) // 2, dtype=complex)
-        for k, (i, j) in enumerate(_sym_indices(r)):
-            c[k] = M[i, i] if i == j else (M[i, j] + M[j, i]) / 2 * _SQ2
-        return Element(alg, _realify(c))
-    if alg.family == "herm_complex":
-        p = alg.size
-        c = np.empty(p * p, dtype=complex)
-        k = 0
-        for i in range(p):
-            c[k] = M[i, i]
-            k += 1
-            for j in range(i + 1, p):
-                c[k] = (M[i, j] + M[j, i]) / 2 * _SQ2
-                c[k + 1] = (M[i, j] - M[j, i]) / (2j) * _SQ2
-                k += 2
-        return Element(alg, _realify(c))
-    if alg.family == "herm_quaternion":
-        p = alg.size
-        c = np.empty(alg.dim_m, dtype=complex)
-        k = 0
-        for i in range(p):
-            B = M[2 * i: 2 * i + 2, 2 * i: 2 * i + 2]
-            c[k] = (B[0, 0] + B[1, 1]) / 2
-            k += 1
-            for j in range(i + 1, p):
-                B = M[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]
-                a = (B[0, 0] + B[1, 1]) / 2
-                d = (B[0, 0] - B[1, 1]) / 2j
-                b = (B[0, 1] - B[1, 0]) / 2
-                cc = (B[0, 1] + B[1, 0]) / 2j
-                c[k: k + 4] = np.array([a, b, cc, d]) * _SQ2
-                k += 4
-        return Element(alg, _realify(c))
-    raise ValueError("spin factor has no matrix embedding")
+    U = _matrix_chart(alg)["unembed"]
+    return Element(alg, _realify(np.asarray(M).reshape(-1) @ U))
 
 
 def _realify(c: np.ndarray, tol: float = 1e-11) -> np.ndarray:
@@ -347,49 +357,16 @@ def _quat_J(p: int) -> np.ndarray:
     return J
 
 
-# ---------------------------------------------------------------------------
-# z-chart: unitary complex coordinates on Z_1 used by the polynomial layer
-# ---------------------------------------------------------------------------
-
 def to_zchart(x: Element) -> np.ndarray:
     """Complex coordinate vector of x in the unitary chart of Z_1."""
-    alg = x.alg
-    if alg.family == "sym_real":
-        return x.coords.astype(complex)
-    if alg.family == "herm_complex":
-        return embed_matrix(x).reshape(-1)
-    if alg.family == "herm_quaternion":
-        S = skew_embed(x)
-        iu = np.triu_indices(2 * alg.size, k=1)
-        return S[iu]
-    if alg.family == "spin":
-        c = x.coords.astype(complex).copy()
-        c[2:] *= _SQ2
-        return c
-    raise AssertionError
+    return x.coords @ _chart(x.alg)["to_z"]
 
 
 def from_zchart(alg: AlgebraDescriptor, v: np.ndarray) -> Element:
     v = np.asarray(v, dtype=complex)
     if v.shape != (alg.dim_m,):
         raise ValueError("z-chart vector has wrong length")
-    if alg.family == "sym_real":
-        return Element(alg, _realify(v))
-    if alg.family == "herm_complex":
-        return unembed_matrix(alg, v.reshape(alg.size, alg.size))
-    if alg.family == "herm_quaternion":
-        n2 = 2 * alg.size
-        S = np.zeros((n2, n2), dtype=complex)
-        iu = np.triu_indices(n2, k=1)
-        S[iu] = v
-        S = S - S.T
-        H = -_quat_J(alg.size) @ S  # J^{-1} = -J
-        return unembed_matrix(alg, H)
-    if alg.family == "spin":
-        c = v.copy()
-        c[2:] /= _SQ2
-        return Element(alg, _realify(c))
-    raise AssertionError
+    return Element(alg, _realify(v @ _chart(alg)["from_z"]))
 
 
 # ---------------------------------------------------------------------------

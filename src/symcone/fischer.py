@@ -206,11 +206,6 @@ def k_apply(k: KSample, p: "domains.BoundedPoint") -> "domains.BoundedPoint":
     return domains.bounded_from_vector(k.alg, k.matrix @ p.as_vector())
 
 
-def k_compose_poly(p: SparsePolynomial, k: KSample) -> SparsePolynomial:
-    """z -> p(k z)."""
-    return p.compose_linear(k.matrix)
-
-
 # ---------------------------------------------------------------------------
 # orbit spans and the P_s projections
 # ---------------------------------------------------------------------------
@@ -349,25 +344,9 @@ def dim_Ps_rank1(alg: AlgebraDescriptor, k: int) -> int:
 # kernel Taylor expansion
 # ---------------------------------------------------------------------------
 
-def _full_entry_var(alg: AlgebraDescriptor, i: int, j: int) -> SparsePolynomial:
-    nv = alg.dim_m + alg.siegel_n
-    if j < alg.size:
-        return SparsePolynomial.variable(nv, i * alg.size + j)
-    return SparsePolynomial.variable(
-        nv, alg.dim_m + i * (alg.cols - alg.size) + (j - alg.size))
-
-
 def _h_polynomial(alg: AlgebraDescriptor, w: "domains.BoundedPoint"):
     """(polynomial in z for fixed w, scale): kernel = poly^(-lambda/scale)."""
     nv = alg.dim_m + alg.siegel_n
-    if alg.family == "herm_complex":
-        Wc = w.full_matrix().conj()
-        p, q = alg.size, alg.cols
-        ent = [[SparsePolynomial.constant(nv, 1.0 if i == j else 0.0)
-                - sum((Wc[j, k] * _full_entry_var(alg, i, k) for k in range(q)
-                       if Wc[j, k] != 0), SparsePolynomial.zero(nv))
-                for j in range(p)] for i in range(p)]
-        return det_poly(ent), 1.0
     if alg.family == "spin":
         wch = eja.to_zchart(w.z1.as_complex())
         h = SparsePolynomial.constant(nv, 1.0)
@@ -378,14 +357,14 @@ def _h_polynomial(alg: AlgebraDescriptor, w: "domains.BoundedPoint"):
         h = h + np.conj(d2w) * cones.minor_polynomials(alg)[1]
         return h, 1.0
     E = cones._entry_polys(alg)
-    n = len(E)
-    if alg.family == "sym_real":
-        Wn = np.conj(eja.embed_matrix(w.z1.as_complex()))
-    else:
-        # quaternionic: skew picture, h(z, w)^2 = det(I - S_z S_w^*)
+    n, q = len(E), len(E[0])
+    if alg.family == "herm_quaternion":
+        # skew picture, h(z, w)^2 = det(I - S_z S_w^*)
         Wn = eja.skew_embed(w.z1.as_complex()).conj().T
+    else:
+        Wn = w.full_matrix().conj().T
     ent = [[SparsePolynomial.constant(nv, 1.0 if i == j else 0.0)
-            - sum((E[i][k] * Wn[k, j] for k in range(n) if Wn[k, j] != 0),
+            - sum((E[i][k] * Wn[k, j] for k in range(q) if Wn[k, j] != 0),
                   SparsePolynomial.zero(nv))
             for j in range(n)] for i in range(n)]
     scale = 2.0 if alg.family == "herm_quaternion" else 1.0

@@ -69,19 +69,11 @@ class SparsePolynomial:
 
     # -- basic queries ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def degree(self) -> int:
         """Total degree; zero polynomial reports -1."""
         if not self.coeffs:
             return -1
         return max(sum(a) for a in self.coeffs)
-
-    def valuation(self) -> int:
-        if not self.coeffs:
-            return -1
-        return min(sum(a) for a in self.coeffs)
 
     def copy(self) -> "SparsePolynomial":
         p = SparsePolynomial(self.nvars)
@@ -164,16 +156,6 @@ class SparsePolynomial:
     def homogeneous_part(self, degree: int) -> "SparsePolynomial":
         return SparsePolynomial(
             self.nvars, {a: c for a, c in self.coeffs.items() if sum(a) == degree}
-        )
-
-    def conj_coeffs(self) -> "SparsePolynomial":
-        """Coefficient-wise conjugate (the polynomial z -> conj(p(conj z)))."""
-        return SparsePolynomial(self.nvars, {a: np.conj(c) for a, c in self.coeffs.items()})
-
-    def scale_argument(self, r: complex) -> "SparsePolynomial":
-        """p(r z): multiplies each degree-k part by r^k."""
-        return SparsePolynomial(
-            self.nvars, {a: c * (r ** sum(a)) for a, c in self.coeffs.items()}
         )
 
     # -- calculus ----------------------------------------------------------

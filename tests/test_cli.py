@@ -93,13 +93,17 @@ def test_wallach_herm_half_gap(runner):
     assert "pass 1 fail 0" in res.output
 
 
-def test_wallach_empty_grid_is_empty_report(runner, tmp_path):
+def test_wallach_empty_grid_is_usage_error(runner, tmp_path):
     out = tmp_path / "empty.json"
-    res = invoke(runner, "wallach", "--seed", "1", "--output", str(out))
-    assert res.exit_code == 0
-    rep = json.loads(out.read_text())
-    assert rep["records"] == []
-    assert rep["summary"] == {"pass": 0, "fail": 0, "inconclusive": 0}
+    res = runner.invoke(main, ["wallach", "--family", "sym", "--rank", "2",
+                               "--seed", "1", "--output", str(out)])
+    assert res.exit_code == 2
+    assert not out.exists()
+    # a config file may supply the grid, but not an empty one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": []}))
+    res = runner.invoke(main, ["wallach", "--seed", "1", "--config", str(cfg)])
+    assert res.exit_code == 2
 
 
 def test_wallach_requires_seed(runner):

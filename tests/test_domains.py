@@ -253,7 +253,7 @@ def test_kernel_bounded_type_one_diagonal_example():
 
 
 def test_kernel_bounded_tube_matches_generic_norm():
-    # cross-ratio transport vs the closed-form h, principal branch at small radius
+    # closed-form log h against generic_norm, principal branch at small radius
     lam = 1.3
     for alg in [eja.sym_real(2), eja.sym_real(3), eja.herm_quaternion(2),
                 eja.spin_factor(4), eja.spin_factor(5)]:
@@ -544,17 +544,26 @@ def test_disc_proposal_density_closed_form():
     assert logd == pytest.approx(want, abs=1e-10)
 
 
+def with_wide_blocks(seed):
+    """ALGS with the module RNG, then two layouts with several strictly lower
+    blocks per row with a local generator, so other tests draw as before."""
+    yield from ((alg, RNG) for alg in ALGS)
+    rng = np.random.default_rng(seed)
+    for alg in (eja.herm_complex(3), eja.herm_quaternion(3)):
+        yield alg, rng
+
+
 def test_triangular_param_roundtrip():
-    for alg in ALGS:
-        theta = RNG.normal(size=alg.dim_m)
+    for alg, rng in with_wide_blocks(31):
+        theta = rng.normal(size=alg.dim_m)
         t = domains._triangular_from_params(alg, theta)
         back = domains._triangular_params(t)
         assert np.allclose(back, theta, atol=1e-12)
 
 
 def test_orbit_jacobian_matches_fd():
-    for alg in ALGS:
-        theta = 0.4 * RNG.normal(size=alg.dim_m)
+    for alg, rng in with_wide_blocks(32):
+        theta = 0.4 * rng.normal(size=alg.dim_m)
         t = domains._triangular_from_params(alg, theta)
         h = 1e-6
         J = np.zeros((alg.dim_m, alg.dim_m))

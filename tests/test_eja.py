@@ -227,10 +227,20 @@ def test_trace_ratio_of_d_operator():
 
 # -- charts -------------------------------------------------------------------
 
+def with_wide_blocks(seed):
+    """ALL_ALGS with the module RNG, then two layouts with several blocks
+    above the diagonal per row with a local generator, so other tests draw
+    as before."""
+    yield from ((alg, RNG) for alg in ALL_ALGS)
+    rng = np.random.default_rng(seed)
+    for alg in (eja.herm_complex(3), eja.herm_quaternion(3)):
+        yield alg, rng
+
+
 def test_zchart_roundtrip_and_isometry():
-    for alg in ALL_ALGS:
+    for alg, rng in with_wide_blocks(21):
         for _ in range(4):
-            x = rand_element(alg, RNG, complex_coords=True)
+            x = rand_element(alg, rng, complex_coords=True)
             v = eja.to_zchart(x)
             assert v.shape == (alg.dim_m,)
             back = eja.from_zchart(alg, v)
@@ -242,16 +252,25 @@ def test_zchart_roundtrip_and_isometry():
 
 
 def test_embed_roundtrip():
-    for alg in ALL_ALGS:
+    for alg, rng in with_wide_blocks(22):
         if alg.family == "spin":
             continue
-        x = rand_element(alg, RNG, complex_coords=True)
+        x = rand_element(alg, rng, complex_coords=True)
         M = eja.embed_matrix(x)
         back = eja.unembed_matrix(alg, M)
         assert (back - x).norm() < 1e-12 * max(1.0, x.norm())
         if alg.family == "herm_quaternion":
             S = eja.skew_embed(x)
             assert np.allclose(S, -S.T, atol=1e-12)
+
+
+def test_spin_has_no_matrix_picture():
+    alg = eja.spin_factor(4)
+    x = rand_element(alg, np.random.default_rng(23))
+    with pytest.raises(ValueError):
+        eja.embed_matrix(x)
+    with pytest.raises(ValueError):
+        eja.unembed_matrix(alg, np.eye(2))
 
 
 def test_real_elements_embed_hermitian():
