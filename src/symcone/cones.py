@@ -121,12 +121,8 @@ def _reverse_element(x: Element) -> Element:
         c[[0, 1]] = c[[1, 0]]
         return Element(alg, c)
     M = eja.embed_matrix(x)
-    if alg.family == "herm_quaternion":
-        p = alg.size
-        perm = np.concatenate([[2 * (p - 1 - i), 2 * (p - 1 - i) + 1]
-                               for i in range(p)])
-    else:
-        perm = np.arange(alg.size)[::-1]
+    b = eja._block_size(alg)
+    perm = (b * np.arange(alg.size)[::-1, None] + np.arange(b)).ravel()
     return eja.unembed_matrix(alg, M[np.ix_(perm, perm)])
 
 
@@ -177,12 +173,6 @@ def delta_power(x: Element, s: Sequence[float]) -> float:
 # branch-safe logs of minors on the right tube
 # ---------------------------------------------------------------------------
 
-def _leading_block(alg: AlgebraDescriptor, x: Element, j: int) -> np.ndarray:
-    M = eja.embed_matrix(x)
-    k = 2 * j if alg.family == "herm_quaternion" else j
-    return M[:k, :k]
-
-
 def _log_rhp_det(B: np.ndarray) -> complex:
     """log det of a matrix with positive-definite hermitian part.
 
@@ -210,11 +200,10 @@ def log_delta_j(x: Element, j: int) -> complex:
         # Delta_j(x + iy) = Delta_j(x) prod_k (1 + i nu_k) with j real
         # factors, each argument in (-pi/2, pi/2): principal log is the branch
         return complex(np.log(complex(delta_j(x.as_complex(), j))))
-    B = _leading_block(alg, x.as_complex(), j)
-    L = _log_rhp_det(B)
-    if alg.family == "herm_quaternion":
-        L = L / 2.0
-    return complex(L)
+    # the complex picture repeats every eigenvalue once per block row
+    b = eja._block_size(alg)
+    L = _log_rhp_det(eja.embed_matrix(x.as_complex())[: b * j, : b * j])
+    return complex(L / b)
 
 
 def _log_delta_j_path(x: Element, j: int, max_steps: int = 4096) -> complex:
@@ -305,10 +294,7 @@ class TriangularElement:
         """The rank positive diagonal parameters t_11, ..., t_rr."""
         if self.alg.family == "spin":
             return np.array([self.t11, self.t22])
-        d = np.diag(self.mat).real
-        if self.alg.family == "herm_quaternion":
-            return d[0::2]
-        return d
+        return np.diag(self.mat).real[0::eja._block_size(self.alg)]
 
     def compose(self, other: "TriangularElement") -> "TriangularElement":
         """Group law: (self compose other) . x = self . (other . x)."""
@@ -335,8 +321,7 @@ class TriangularElement:
 def identity_triangular(alg: AlgebraDescriptor) -> TriangularElement:
     if alg.family == "spin":
         return TriangularElement(alg, t11=1.0, v=np.zeros(alg.dim_m - 2), t22=1.0)
-    n = 2 * alg.size if alg.family == "herm_quaternion" else alg.size
-    return TriangularElement(alg, mat=np.eye(n))
+    return TriangularElement(alg, mat=np.eye(eja._block_size(alg) * alg.size))
 
 
 def t_action(t: TriangularElement, x: Element) -> Element:

@@ -12,6 +12,12 @@ h(z, w)^(-lambda), so K(z, 0) = 1. Every family computes log h in closed
 form as the sum of log(1 - mu) over the eigenvalues mu of a pencil: Z W*
 for the matrix families, a 2 x 2 closed form for the rank-2 spin factor.
 They lie in the unit disc, so the branch is the continuous one.
+
+Points travel as stacks of chart vectors (spaces.point_vector per row) where
+Monte Carlo needs many: sample_siegel_batch draws the Siegel proposal for
+every family as arrays, with its exact log density and log Delta of the
+defect, and inverse_cayley_rows maps tube points back to the bounded side.
+bounded_from_vector and siegel_from_vector turn one row into a point.
 """
 
 from __future__ import annotations
@@ -98,6 +104,16 @@ class SiegelPoint:
             raise ValueError("tube-type domains carry no half-space block")
         else:
             self.zeta = None
+
+
+def siegel_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> SiegelPoint:
+    """Inverse of spaces.point_vector on the Siegel side: z-chart of z, then
+    the half-space block."""
+    v = np.asarray(v, dtype=complex)
+    zeta = None
+    if alg.siegel_n:
+        zeta = v[alg.dim_m:].reshape(alg.size, alg.cols - alg.size)
+    return SiegelPoint(alg, zeta, eja.from_zchart(alg, v[: alg.dim_m]))
 
 
 def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
@@ -200,6 +216,32 @@ def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
     return BoundedPoint(alg, z1, None)
 
 
+def inverse_cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
+    """inverse_cayley on a stack of tube-family z-chart rows w, as z-chart
+    rows, with log Delta((w + ie)/2i) on the continuous branch.
+
+    z = e - 2i u^(-1) for u = w + ie. Rank 2 takes u^(-1) = (tr(u) e - u) /
+    Delta(u) and the principal log of Delta(u / 2i), as cones.log_delta_j
+    does. Other ranks invert the complex picture and sum the principal logs
+    of the eigenvalues of u / 2i, which lie in the right half-plane (the
+    hermitian part (Im w + e)/2 is positive), divided by the block size.
+    """
+    chart = eja._chart(alg)
+    e = eja.identity(alg)
+    ez = eja.to_zchart(e)
+    U = np.asarray(V, dtype=complex) + 1j * ez
+    if alg.rank == 2:
+        det = cones.minor_polynomials(alg)[1].eval(U)
+        # tr(u) = <u, e>: e's coordinates sit where the trace weights are 1
+        tr = U @ (chart["from_z"] @ e.coords)
+        inv = (tr[:, None] * ez - U) / det[:, None]
+        return ez - 2j * inv, np.log(det / (2j) ** 2)
+    M = (U @ chart["from_z"] @ chart["embed"]).reshape(-1, chart["n"], chart["n"])
+    inv = np.linalg.inv(M).reshape(len(U), -1) @ chart["unembed"] @ chart["to_z"]
+    logdet = np.log(np.linalg.eigvals(M / 2j)).sum(axis=1) / eja._block_size(alg)
+    return ez - 2j * inv, logdet
+
+
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
@@ -243,7 +285,7 @@ def _log_generic_norm(z: BoundedPoint, w: BoundedPoint) -> complex:
     if np.max(np.abs(mu)) >= 1.0:
         raise ValueError("pencil eigenvalues reach the unit circle")
     out = complex(np.sum(np.log1p(-mu)))
-    return out / 2.0 if z.alg.family == "herm_quaternion" else out
+    return out if z.alg.family == "spin" else out / eja._block_size(z.alg)
 
 
 def kernel_bounded(lam: float, z: BoundedPoint, w: BoundedPoint) -> complex:
@@ -451,27 +493,64 @@ class SiegelSamplerConfig:
     cauchy_x: bool = False
 
 
-def _lower_slots(alg: AlgebraDescriptor):
-    """(block index, unit) of every strictly lower triangular coordinate of a
-    matrix family, from eja's unit table: block row i, then block column
-    j < i, then unit."""
-    units = eja._UNITS[alg.family]
-    b = len(units[0])
-    return [(eja._block(b, i, j), u) for i in range(alg.size)
-            for j in range(i) for u in units]
+def _triangular_basis(alg: AlgebraDescriptor) -> np.ndarray:
+    """Stack of P_k with t = sum_k c_k P_k, c = (t_11, ..., t_rr, lower
+    coordinates), for a matrix family (cached).
+
+    Built from eja's unit table: the diagonal blocks along the first unit,
+    then the strictly lower slots block row i, block column j < i, unit.
+    Only sym_real's units are real, so its factors stay real.
+    """
+    if "tri_basis" not in alg._cache:
+        units = eja._UNITS[alg.family]
+        b = len(units[0])
+        slots = ([(i, i, units[0]) for i in range(alg.size)]
+                 + [(i, j, u) for i in range(alg.size) for j in range(i)
+                    for u in units])
+        P = np.zeros((len(slots), b * alg.size, b * alg.size),
+                     dtype=np.result_type(*units))
+        for k, (i, j, u) in enumerate(slots):
+            P[k][eja._block(b, i, j)] = u
+        alg._cache["tri_basis"] = P
+    return alg._cache["tri_basis"]
+
+
+def _orbit_form(alg: AlgebraDescriptor) -> np.ndarray:
+    """R with t . e = (c outer c) @ R in chart coordinates (cached).
+
+    c = (t_11, ..., t_rr, lower coordinates): for a matrix family as in
+    _triangular_basis, R being the real parts of unembed(P_a P_b*); for spin
+    c = (t11, t22, v) and t . e = (t11^2, t22^2 + |v|^2, t11 v).
+    """
+    if "orbit_form" not in alg._cache:
+        m = alg.dim_m
+        if alg.family == "spin":
+            R = np.zeros((m, m, m))
+            R[0, 0, 0] = R[1, 1, 1] = 1.0
+            for k in range(2, m):
+                R[k, k, 1] = 1.0
+                R[0, k, k] = R[k, 0, k] = 0.5
+            R = R.reshape(m * m, m)
+        else:
+            P = _triangular_basis(alg)
+            PP = np.einsum("aij,bkj->abik", P, P.conj()).reshape(m * m, -1)
+            R = (PP @ eja._chart(alg)["unembed"]).real.copy()
+        alg._cache["orbit_form"] = R
+    return alg._cache["orbit_form"]
 
 
 def _triangular_params(t: cones.TriangularElement) -> np.ndarray:
     """Coordinates: log diagonal first, then the strictly lower block.
 
-    The lower coordinates follow _lower_slots: row by row, each block left
-    to right, each block unit by unit (1; 1, i; 1, i, j, k). Spin takes
+    The lower coordinates follow _triangular_basis: row by row, each block
+    left to right, each block unit by unit (1; 1, i; 1, i, j, k). Spin takes
     (log t11, log t22, v).
     """
     if t.alg.family == "spin":
         return np.concatenate([[np.log(t.t11), np.log(t.t22)], t.v])
-    low = [np.vdot(u, t.mat[blk]).real / len(u) for blk, u in _lower_slots(t.alg)]
-    return np.concatenate([np.log(t.diagonal()), np.asarray(low, dtype=float)])
+    P = _triangular_basis(t.alg)[t.alg.rank:]
+    low = np.einsum("kij,ij->k", P.conj(), t.mat).real / eja._block_size(t.alg)
+    return np.concatenate([np.log(t.diagonal()), low])
 
 
 def _triangular_from_params(alg: AlgebraDescriptor, theta: np.ndarray):
@@ -481,101 +560,107 @@ def _triangular_from_params(alg: AlgebraDescriptor, theta: np.ndarray):
     if alg.family == "spin":
         return cones.TriangularElement(
             alg, t11=np.exp(theta[0]), t22=np.exp(theta[1]), v=theta[2:])
-    units = eja._UNITS[alg.family]
-    n = alg.size
-    M = np.kron(np.diag(np.exp(theta[:n])), units[0]).astype(np.result_type(*units))
-    for (blk, u), th in zip(_lower_slots(alg), theta[n:]):
-        M[blk] += th * u
-    return cones.TriangularElement(alg, mat=M)
+    c = np.concatenate([np.exp(theta[: alg.rank]), theta[alg.rank:]])
+    return cones.TriangularElement(
+        alg, mat=np.tensordot(c, _triangular_basis(alg), axes=1))
 
 
-def _param_directions(alg: AlgebraDescriptor, t: cones.TriangularElement):
-    """dt/dtheta_k as matrices, in the order of _triangular_params."""
-    units = eja._UNITS[alg.family]
-    b = len(units[0])
-    dirs = []
-    for i in range(alg.size):
-        D = np.zeros_like(t.mat, dtype=complex)
-        D[eja._block(b, i, i)] = t.mat[b * i, b * i] * units[0]
-        dirs.append(D)
-    for blk, u in _lower_slots(alg):
-        D = np.zeros_like(t.mat, dtype=complex)
-        D[blk] = u
-        dirs.append(D)
-    return dirs
+def _orbit_powers(alg: AlgebraDescriptor) -> tuple[float, np.ndarray]:
+    """(C, k) with |det d(theta -> t . e)| = C prod_j t_jj^(k_j).
+
+    k_j = 2 + a (r - j): t_jj^2 from the diagonal coordinate and t_jj from
+    each of the a (r - j) lower coordinates below it. C = 2^r sqrt(2)^(m - r)
+    for the matrix families (off-diagonal chart coordinates carry sqrt 2),
+    4 for spin.
+    """
+    r = alg.rank
+    C = 4.0 if alg.family == "spin" else 2.0 ** ((alg.dim_m + r) / 2.0)
+    return C, 2.0 + alg.peirce_a * (r - np.arange(1.0, r + 1))
 
 
 def orbit_jacobian(t: cones.TriangularElement) -> float:
-    """|det d(theta -> t(theta) . e)| at t, exact via bilinearity."""
-    alg = t.alg
-    if alg.family == "spin":
-        t11, t22, v = t.t11, t.t22, t.v
-        k = alg.dim_m - 2
-        J = np.zeros((alg.dim_m, alg.dim_m))
-        J[0, 0] = 2 * t11 ** 2
-        J[1, 1] = 2 * t22 ** 2
-        J[2:, 0] = t11 * v
-        for i in range(k):
-            J[1, 2 + i] = 2 * v[i]
-            J[2 + i, 2 + i] = t11
-        return float(abs(np.linalg.det(J)))
-    cols = []
-    T = t.mat
-    for D in _param_directions(alg, t):
-        H = D @ T.conj().T + T @ D.conj().T
-        cols.append(eja.unembed_matrix(alg, H).coords.real)
-    return float(abs(np.linalg.det(np.column_stack(cols))))
+    """|det d(theta -> t(theta) . e)| at t, in closed form."""
+    C, k = _orbit_powers(t.alg)
+    return C * cones.character(t, k / 2.0)
 
 
-def _gauss_logpdf(v: np.ndarray, sigma: float) -> float:
-    v = np.asarray(v, dtype=float).ravel()
-    return float(-0.5 * np.sum((v / sigma) ** 2)
-                 - v.size * np.log(sigma * np.sqrt(2 * np.pi)))
+def _gauss_logpdf(v: np.ndarray, sigma: float) -> np.ndarray:
+    """N(0, sigma^2) log density summed over the last axis."""
+    v = np.asarray(v, dtype=float)
+    return (-0.5 * np.sum((v / sigma) ** 2, axis=-1)
+            - v.shape[-1] * np.log(sigma * np.sqrt(2 * np.pi)))
 
 
-def _cauchy_logpdf(v: np.ndarray, sigma: float) -> float:
-    v = np.asarray(v, dtype=float).ravel()
-    return float(np.sum(-np.log(np.pi * sigma * (1.0 + (v / sigma) ** 2))))
+def _cauchy_logpdf(v: np.ndarray, sigma: float) -> np.ndarray:
+    """Cauchy(0, sigma) log density summed over the last axis."""
+    v = np.asarray(v, dtype=float)
+    return np.sum(-np.log(np.pi * sigma * (1.0 + (v / sigma) ** 2)), axis=-1)
+
+
+def _proposal_logq(alg: AlgebraDescriptor, cfg: SiegelSamplerConfig, zeta,
+                   x, logdiag, lower) -> np.ndarray:
+    """Log proposal density (Lebesgue on (zeta, z)) from the draws, each an
+    (n, k) block; zeta is flattened, None for the tube families."""
+    out = (_gauss_logpdf(logdiag, cfg.sigma_logdiag)
+           + _gauss_logpdf(lower, cfg.sigma_lower)
+           + (_cauchy_logpdf(x, cfg.sigma_x) if cfg.cauchy_x
+              else _gauss_logpdf(x, cfg.sigma_x)))
+    if zeta is not None:
+        out = out + _gauss_logpdf(np.concatenate([zeta.real, zeta.imag], axis=-1),
+                                  cfg.sigma_zeta)
+    C, k = _orbit_powers(alg)
+    return out - np.log(C) - logdiag @ k
 
 
 def siegel_proposal_logdensity(p: SiegelPoint,
                                cfg: SiegelSamplerConfig) -> float:
-    """Exact log density of sample_siegel at p (Lebesgue on (zeta, z))."""
-    alg = p.alg
-    out = 0.0
+    """Exact log density of sample_siegel at p (Lebesgue on (zeta, z)):
+    the draws recovered from p, the triangular ones by Cholesky."""
+    r = p.alg.rank
+    theta = _triangular_params(cones.cholesky_t(siegel_defect(p)))
+    zeta = None if p.zeta is None else p.zeta.ravel()
+    return float(_proposal_logq(p.alg, cfg, zeta, p.z.real_part().coords,
+                                theta[:r], theta[r:]))
+
+
+def sample_siegel_batch(alg: AlgebraDescriptor, n: int,
+                        rng: np.random.Generator,
+                        cfg: SiegelSamplerConfig = SiegelSamplerConfig()):
+    """n interior draws as arrays: z-chart vectors (n, zdim) as
+    spaces.point_vector gives them, the log proposal density, and log Delta
+    of the defect Im z - Phi(zeta, zeta) = t . e, which is 2 sum_j log t_jj.
+
+    Draws zeta (real, then imaginary parts), x, the log diagonal, then the
+    lower coordinates, each as one (n, k) block, so n = 1 repeats the
+    stream of sample_siegel.
+    """
+    r, m = alg.rank, alg.dim_m
+    zeta = None
     if alg.siegel_n:
-        zr = np.concatenate([p.zeta.real.ravel(), p.zeta.imag.ravel()])
-        out += _gauss_logpdf(zr, cfg.sigma_zeta)
-    x = p.z.real_part().coords
-    out += (_cauchy_logpdf(x, cfg.sigma_x) if cfg.cauchy_x
-            else _gauss_logpdf(x, cfg.sigma_x))
-    y = siegel_defect(p)
-    t = cones.cholesky_t(y)
-    theta = _triangular_params(t)
-    out += _gauss_logpdf(theta[: alg.rank], cfg.sigma_logdiag)
-    out += _gauss_logpdf(theta[alg.rank:], cfg.sigma_lower)
-    out -= np.log(orbit_jacobian(t))
-    return out
+        shape = (n, alg.size, alg.cols - alg.size)
+        zeta = cfg.sigma_zeta * (rng.normal(size=shape)
+                                 + 1j * rng.normal(size=shape))
+    x = cfg.sigma_x * (rng.standard_cauchy(size=(n, m)) if cfg.cauchy_x
+                       else rng.normal(size=(n, m)))
+    logdiag = cfg.sigma_logdiag * rng.normal(size=(n, r))
+    lower = cfg.sigma_lower * rng.normal(size=(n, m - r))
+    c = np.concatenate([np.exp(logdiag), lower], axis=1)
+    y = (c[:, :, None] * c[:, None, :]).reshape(n, -1) @ _orbit_form(alg)
+    chart = eja._chart(alg)
+    if alg.siegel_n:
+        ZZ = zeta @ zeta.conj().transpose(0, 2, 1)
+        y = y + (ZZ.reshape(n, -1) @ chart["unembed"]).real
+        zeta = zeta.reshape(n, -1)
+    V = (x + 1j * y) @ chart["to_z"]
+    if zeta is not None:
+        V = np.concatenate([V, zeta], axis=1)
+    return (V, _proposal_logq(alg, cfg, zeta, x, logdiag, lower),
+            2.0 * logdiag.sum(axis=1))
 
 
 def sample_siegel(alg: AlgebraDescriptor, rng: np.random.Generator,
                   cfg: SiegelSamplerConfig = SiegelSamplerConfig()):
-    """Draw (point, log proposal density); the point is always interior."""
-    zeta = None
-    if alg.siegel_n:
-        shape = (alg.size, alg.cols - alg.size)
-        zeta = cfg.sigma_zeta * (rng.normal(size=shape)
-                                 + 1j * rng.normal(size=shape))
-    if cfg.cauchy_x:
-        x = cfg.sigma_x * rng.standard_cauchy(size=alg.dim_m)
-    else:
-        x = cfg.sigma_x * rng.normal(size=alg.dim_m)
-    theta = np.concatenate([
-        cfg.sigma_logdiag * rng.normal(size=alg.rank),
-        cfg.sigma_lower * rng.normal(size=alg.dim_m - alg.rank)])
-    t = _triangular_from_params(alg, theta)
-    y = cones.t_action(t, eja.identity(alg))
-    if alg.siegel_n:
-        y = y + phi_form(alg, zeta, zeta).real_part()
-    p = SiegelPoint(alg, zeta, Element(alg, x + 1j * y.coords))
-    return p, siegel_proposal_logdensity(p, cfg)
+    """Draw (point, log proposal density); the point is always interior.
+    Row 0 of sample_siegel_batch with n = 1."""
+    V, logq, _ = sample_siegel_batch(alg, 1, rng, cfg)
+    return siegel_from_vector(alg, V[0]), float(logq[0])

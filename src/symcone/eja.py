@@ -60,6 +60,11 @@ _UNITS = {
 _ISQ2 = np.sqrt(0.5)  # 1/sqrt(2) correctly rounded; 1 / sqrt(2.0) is an ulp low
 
 
+def _block_size(alg: "AlgebraDescriptor") -> int:
+    """Side of a matrix family's block units: 2 for quaternions, else 1."""
+    return len(_UNITS[alg.family][0])
+
+
 @dataclass(frozen=True)
 class AlgebraDescriptor:
     """Structure constants and chart bookkeeping for one algebra."""
@@ -257,7 +262,7 @@ def _coord_matrices(alg: AlgebraDescriptor) -> np.ndarray:
     size.
     """
     units = _UNITS[alg.family]
-    b = len(units[0])
+    b = _block_size(alg)
     n = b * alg.size
     out = []
     for i in range(alg.size):
@@ -292,7 +297,7 @@ def _chart(alg: AlgebraDescriptor) -> dict:
         out["embed"] = E.reshape(alg.dim_m, nn)
         # the trace pairing tr(E_k M) / tr(E_k^2)
         out["unembed"] = (E.transpose(0, 2, 1).reshape(alg.dim_m, nn).T
-                          / len(_UNITS[alg.family][0]))
+                          / _block_size(alg))
         if alg.family == "sym_real":
             C = np.eye(alg.dim_m, dtype=complex)
         elif alg.family == "herm_complex":
@@ -378,9 +383,7 @@ def identity(alg: AlgebraDescriptor) -> Element:
         c = np.zeros(alg.dim_m)
         c[0] = c[1] = 1.0
         return Element(alg, c)
-    M = np.eye(2 * alg.size if alg.family == "herm_quaternion" else alg.size,
-               dtype=complex)
-    return unembed_matrix(alg, M)
+    return unembed_matrix(alg, np.eye(_block_size(alg) * alg.size, dtype=complex))
 
 
 def jordan_product(x: Element, y: Element) -> Element:
@@ -521,17 +524,13 @@ def spectral_decomposition(x: Element) -> Tuple[np.ndarray, List[Element]]:
     evals, vecs = np.linalg.eigh(M)
     order = np.argsort(-evals)
     evals, vecs = evals[order], vecs[:, order]
-    if alg.family == "herm_quaternion":
-        # complex eigenvalues come in quaternionic pairs; fuse them
-        lam = evals[0::2]
-        idems = []
-        for k in range(alg.rank):
-            V = vecs[:, 2 * k: 2 * k + 2]
-            idems.append(unembed_matrix(alg, V @ V.conj().T))
-        return lam.copy(), idems
-    idems = [unembed_matrix(alg, np.outer(vecs[:, k], vecs[:, k].conj()))
-             for k in range(alg.rank)]
-    return evals.copy(), idems
+    # each eigenvalue repeats once per block row (quaternionic pairs); fuse them
+    b = _block_size(alg)
+    idems = []
+    for k in range(alg.rank):
+        V = vecs[:, b * k: b * k + b]
+        idems.append(unembed_matrix(alg, V @ V.conj().T))
+    return evals[0::b].copy(), idems
 
 
 def _spin_spectral(x: Element) -> Tuple[np.ndarray, List[Element]]:
@@ -558,13 +557,11 @@ def standard_frame(alg: AlgebraDescriptor) -> List[Element]:
         c2 = np.zeros(alg.dim_m)
         c2[1] = 1.0
         return [Element(alg, c1), Element(alg, c2)]
+    b = _block_size(alg)
     out = []
-    n = 2 * alg.size if alg.family == "herm_quaternion" else alg.size
-    step = 2 if alg.family == "herm_quaternion" else 1
     for i in range(alg.rank):
-        M = np.zeros((n, n), dtype=complex)
-        for t in range(step):
-            M[step * i + t, step * i + t] = 1.0
+        M = np.zeros((b * alg.size, b * alg.size), dtype=complex)
+        M[_block(b, i, i)] = np.eye(b)
         out.append(unembed_matrix(alg, M))
     return out
 

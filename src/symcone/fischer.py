@@ -367,8 +367,7 @@ def _h_polynomial(alg: AlgebraDescriptor, w: "domains.BoundedPoint"):
             - sum((E[i][k] * Wn[k, j] for k in range(q) if Wn[k, j] != 0),
                   SparsePolynomial.zero(nv))
             for j in range(n)] for i in range(n)]
-    scale = 2.0 if alg.family == "herm_quaternion" else 1.0
-    return det_poly(ent), scale
+    return det_poly(ent), float(eja._block_size(alg))
 
 
 def kernel_taylor(lam: float, w: "domains.BoundedPoint",

@@ -46,24 +46,35 @@ def point_vector(p) -> np.ndarray:
 
 @dataclass
 class HolFunction:
-    """Evaluator plus optional Taylor polynomial at the base point."""
+    """Evaluator plus optional Taylor polynomial at the base point.
+
+    batch evaluates on a stack of chart vectors, one point_vector per row;
+    by default it maps the evaluator over the rows.
+    """
     alg: AlgebraDescriptor
     evaluator: Callable[[object], complex]
     taylor: Optional[SparsePolynomial] = None
     domain: str = "bounded"  # or "siegel"
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.batch is None:
+            self.batch = self._map_rows
 
     def __call__(self, p) -> complex:
         return self.evaluator(p)
 
+    def _map_rows(self, V: np.ndarray) -> np.ndarray:
+        point = (domains.bounded_from_vector if self.domain == "bounded"
+                 else domains.siegel_from_vector)
+        return np.array([self.evaluator(point(self.alg, v)) for v in V],
+                        dtype=complex)
+
 
 def poly_function(alg: AlgebraDescriptor, poly: SparsePolynomial,
                   domain: str = "bounded") -> HolFunction:
-    out = HolFunction(alg, lambda p: complex(poly.eval(point_vector(p))),
-                      taylor=poly, domain=domain)
-    if domain == "siegel" and alg.family == "sym_real" and alg.rank == 2:
-        out._sr_batch = lambda W: poly.eval(np.stack(
-            [W[:, 0, 0], np.sqrt(2.0) * W[:, 0, 1], W[:, 1, 1]], axis=1))
-    return out
+    return HolFunction(alg, lambda p: complex(poly.eval(point_vector(p))),
+                       taylor=poly, domain=domain, batch=poly.eval)
 
 
 def zero_function(alg: AlgebraDescriptor, domain: str = "bounded") -> HolFunction:
@@ -205,9 +216,7 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
             pts.append(base + off)
             pts.append(base - off)
         if realization == "siegel":
-            return [SiegelPoint(alg, v[alg.dim_m:].reshape(
-                        alg.size, alg.cols - alg.size) if alg.siegel_n else None,
-                        eja.from_zchart(alg, v[: alg.dim_m])) for v in pts]
+            return [domains.siegel_from_vector(alg, v) for v in pts]
         cand = [domains.bounded_from_vector(alg, v) for v in pts]
         if all(domains.in_bounded_domain(p) for p in cand):
             return cand
@@ -387,7 +396,8 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
     """Unitary-up-to-constant map of the bounded-side space to the Siegel side.
 
     (Tf)(w) = f(C^{-1} w) * Delta^(-lambda)((w + ie)/2i) carries kernels to
-    kernels, so series norms and Siegel integrals are proportional.
+    kernels, so series norms and Siegel integrals are proportional. The batch
+    evaluator takes one inverse Cayley transform and one log Delta per stack.
     """
     if f.domain != "bounded":
         raise ValueError("transport expects a bounded-side function")
@@ -399,68 +409,16 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
         z = domains.inverse_cayley(w)
         return f(z) * _transport_factor(lam, w)
 
-    out = HolFunction(alg, ev, taylor=None, domain="siegel")
-    if f.taylor is not None and alg.family == "sym_real" and alg.rank == 2:
-        poly = f.taylor
+    def batch(V: np.ndarray) -> np.ndarray:
+        Z, logdelta = domains.inverse_cayley_rows(alg, V)
+        return f.batch(Z) * np.exp(-lam * logdelta)
 
-        def batch(W: np.ndarray) -> np.ndarray:
-            # W: (n, 2, 2) tube points; principal logs are the continuous
-            # branch for rank <= 2 minors on the right tube
-            I = np.eye(2)
-            A = -0.5j * (W + 1j * I)
-            detA = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-            factor = np.exp(-lam * np.log(detA))
-            B = (W - 1j * I) @ np.linalg.inv(W + 1j * I)
-            coords = np.stack([B[:, 0, 0], np.sqrt(2.0) * B[:, 0, 1],
-                               B[:, 1, 1]], axis=1)
-            return poly.eval(coords) * factor
-
-        out._sr_batch = batch
-    return out
+    return HolFunction(alg, ev, domain="siegel", batch=batch)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo norms
 # ---------------------------------------------------------------------------
-
-def _siegel_batch_sym_real2(alg: AlgebraDescriptor, n: int,
-                            rng: np.random.Generator,
-                            cfg: domains.SiegelSamplerConfig
-                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vector form of the tube proposal for sym_real(2).
-
-    Returns (W, logq, detY): (n, 2, 2) points x + iy with y = t t*, the exact
-    log proposal density, and Delta_2(y). Must agree with the per-point
-    sampler density; the tests pin that.
-    """
-    X = (cfg.sigma_x * rng.standard_cauchy(size=(n, 3)) if cfg.cauchy_x
-         else cfg.sigma_x * rng.normal(size=(n, 3)))
-    if cfg.cauchy_x:
-        logq_x = np.sum(-np.log(np.pi * cfg.sigma_x
-                                * (1.0 + (X / cfg.sigma_x) ** 2)), axis=1)
-    else:
-        logq_x = (-0.5 * np.sum((X / cfg.sigma_x) ** 2, axis=1)
-                  - 3 * np.log(cfg.sigma_x * np.sqrt(2 * np.pi)))
-    th_d = cfg.sigma_logdiag * rng.normal(size=(n, 2))
-    th_l = cfg.sigma_lower * rng.normal(size=(n, 1))
-    logq_t = (-0.5 * np.sum((th_d / cfg.sigma_logdiag) ** 2, axis=1)
-              - 2 * np.log(cfg.sigma_logdiag * np.sqrt(2 * np.pi))
-              - 0.5 * np.sum((th_l / cfg.sigma_lower) ** 2, axis=1)
-              - np.log(cfg.sigma_lower * np.sqrt(2 * np.pi)))
-    a, c, b = np.exp(th_d[:, 0]), np.exp(th_d[:, 1]), th_l[:, 0]
-    # y = t t* for t = [[a, 0], [b, c]]; |d theta -> y| = 4 sqrt(2) a^3 c^2
-    y11, y12, y22 = a ** 2, a * b, b ** 2 + c ** 2
-    logjac = np.log(4.0 * np.sqrt(2.0)) + 3.0 * th_d[:, 0] + 2.0 * th_d[:, 1]
-    logq = logq_x + logq_t - logjac
-    s2 = np.sqrt(2.0)
-    W = np.empty((n, 2, 2), dtype=complex)
-    W[:, 0, 0] = X[:, 0] + 1j * y11
-    W[:, 0, 1] = X[:, 1] / s2 + 1j * y12
-    W[:, 1, 0] = W[:, 0, 1]
-    W[:, 1, 1] = X[:, 2] + 1j * y22
-    detY = y11 * y22 - y12 ** 2
-    return W, logq, detY
-
 
 def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
                     n_samples: int, rng: np.random.Generator,
@@ -470,57 +428,47 @@ def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
     """(norm, standard error) of the weighted square integral.
 
     Bounded: integral over D of |f|^2 h(z,z)^(lambda - g) in chart Lebesgue
-    measure, by box sampling. Siegel: importance sampling with the exact
-    proposal density, weight Delta^(lambda - g) of the defect.
+    measure, by box sampling; rank-1 domains (disc and ball) test |v| < 1 and
+    take h = 1 - |v|^2 on the whole stack, higher ranks go point by point.
+    Siegel: importance sampling from sample_siegel_batch with its exact
+    proposal density, weight Delta^(lambda - g) of the defect. f is always
+    evaluated through f.batch.
     """
     g = float(alg.genus)
     if lam <= g - 1:
         raise ValueError("the weighted square integral diverges at or below "
                          "genus - 1")
     if realization == "bounded":
-        d = alg.dim_m + alg.siegel_n
+        d = alg.zdim
         c = domains._BOX_SCALE[alg.family]
         vol = (2.0 * c) ** (2 * d)
-        if d == 1 and f.taylor is not None:
-            Z = rng.uniform(-c, c, size=(n_samples, 2))
-            z = Z[:, 0] + 1j * Z[:, 1]
-            inside = np.abs(z) < 1.0 - 1e-12
-            vals = np.zeros(n_samples)
-            fv = f.taylor.eval(z[inside, None])
-            vals[inside] = (np.abs(fv) ** 2
-                            * (1.0 - np.abs(z[inside]) ** 2) ** (lam - g))
+        Z = rng.uniform(-c, c, size=(n_samples, 2 * d))
+        V = Z[:, :d] + 1j * Z[:, d:]
+        del Z  # the draws live on as V; this keeps the peak memory down
+        if alg.rank == 1:
+            nsq = np.sum(V.real ** 2 + V.imag ** 2, axis=1)
+            inside = np.sqrt(nsq) < 1.0 - 1e-12
+            h = 1.0 - nsq[inside]
         else:
-            Z = rng.uniform(-c, c, size=(n_samples, 2 * d))
-            vals = np.zeros(n_samples)
-            for i in range(n_samples):
-                vec = Z[i, :d] + 1j * Z[i, d:]
-                p = domains.bounded_from_vector(alg, vec)
-                if domains.spectral_norm(p) < 1.0 - 1e-12:
-                    h = domains.generic_norm(p, p).real
-                    vals[i] = abs(f(p)) ** 2 * h ** (lam - g)
+            pts = [domains.bounded_from_vector(alg, v) for v in V]
+            inside = np.array([domains.spectral_norm(p) < 1.0 - 1e-12
+                               for p in pts], dtype=bool)
+            h = np.array([domains.generic_norm(p, p).real
+                          for p, keep in zip(pts, inside) if keep])
+        fv = f.batch(V[inside])
+        vals = np.zeros(n_samples)
+        vals[inside] = np.abs(fv) ** 2 * h ** (lam - g)
         est = vol * float(np.mean(vals))
         se = vol * float(np.std(vals)) / math.sqrt(n_samples)
     elif realization == "siegel":
         cfg = config if config is not None else domains.SiegelSamplerConfig()
-        batch = getattr(f, "_sr_batch", None)
-        if batch is not None and alg.family == "sym_real" and alg.rank == 2:
-            vals = np.empty(n_samples)
-            done = 0
-            while done < n_samples:
-                chunk = min(200000, n_samples - done)
-                W, logq, detY = _siegel_batch_sym_real2(alg, chunk, rng, cfg)
-                fv = batch(W)
-                vals[done: done + chunk] = (np.abs(fv) ** 2
-                                            * detY ** (lam - g)
-                                            * np.exp(-logq))
-                done += chunk
-        else:
-            vals = np.zeros(n_samples)
-            s = np.full(alg.rank, lam - g)
-            for i in range(n_samples):
-                p, logq = domains.sample_siegel(alg, rng, cfg)
-                weight = cones.delta_power(domains.siegel_defect(p), s)
-                vals[i] = abs(f(p)) ** 2 * weight * math.exp(-logq)
+        vals = np.empty(n_samples)
+        for lo in range(0, n_samples, 200000):
+            hi = min(lo + 200000, n_samples)
+            V, logq, logdelta = domains.sample_siegel_batch(alg, hi - lo, rng,
+                                                            cfg)
+            vals[lo:hi] = (np.abs(f.batch(V)) ** 2
+                           * np.exp((lam - g) * logdelta - logq))
         est = float(np.mean(vals))
         se = float(np.std(vals)) / math.sqrt(n_samples)
     else:
@@ -545,35 +493,20 @@ def hardy_norm_mc(f: HolFunction, alg: AlgebraDescriptor, n_samples: int,
             raise ValueError("boundary sampling is rank-1 only here")
         grid = radius_grid if radius_grid is not None else (
             0.9, 0.99, 0.999, 0.9999, 0.99999)
-        d = alg.dim_m + alg.siegel_n
+        d = alg.zdim
         G = rng.normal(size=(n_samples, d)) + 1j * rng.normal(size=(n_samples, d))
         G /= np.linalg.norm(G, axis=1, keepdims=True)
-        best = 0.0
-        for r in grid:
-            if f.taylor is not None:
-                acc = float(np.mean(np.abs(f.taylor.eval(r * G)) ** 2))
-            else:
-                acc = sum(abs(f(domains.bounded_from_vector(alg, r * G[i]))) ** 2
-                          for i in range(n_samples)) / n_samples
-            best = max(best, acc)
-        return math.sqrt(best)
+        acc = [np.mean(np.abs(f.batch(r * G)) ** 2) for r in grid]
+        return math.sqrt(max(acc, default=0.0))
     if realization == "siegel":
         if not alg.is_tube:
             raise ValueError("flat-boundary sampling is tube-only here")
         grid = cone_grid if cone_grid is not None else (0.02, 0.1, 0.3, 1.0)
-        d = alg.dim_m
-        X = rng.standard_cauchy(size=(n_samples, d))
-        logw = np.sum(np.log(np.pi * (1.0 + X ** 2)), axis=1)
-        best = 0.0
-        for t in grid:
-            h = t * eja.identity(alg)
-            acc = 0.0
-            for i in range(n_samples):
-                z = eja.from_zchart(alg, X[i].astype(complex)) + 1j * h
-                p = SiegelPoint(alg, None, z)
-                acc += abs(f(p)) ** 2 * math.exp(logw[i])
-            best = max(best, acc / n_samples)
-        return math.sqrt(best)
+        X = rng.standard_cauchy(size=(n_samples, alg.dim_m))
+        w = np.exp(np.sum(np.log(np.pi * (1.0 + X ** 2)), axis=1))
+        ez = eja.to_zchart(eja.identity(alg))
+        acc = [np.mean(np.abs(f.batch(X + 1j * t * ez)) ** 2 * w) for t in grid]
+        return math.sqrt(max(acc, default=0.0))
     raise ValueError(realization)
 
 
@@ -654,8 +587,7 @@ def lattice_generate(delta: float, region, alg: AlgebraDescriptor) -> Lattice:
         if all(dist(c, p) >= 2.0 * delta for p in chosen):
             chosen.append(c)
     if halfplane:
-        pts = [SiegelPoint(alg, None, eja.from_zchart(alg, np.array([c])))
-               for c in chosen]
+        pts = [domains.siegel_from_vector(alg, np.array([c])) for c in chosen]
     else:
         pts = [domains.bounded_from_vector(alg, np.array([c])) for c in chosen]
     return Lattice(pts, delta)

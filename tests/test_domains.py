@@ -532,6 +532,53 @@ def test_sample_siegel_cauchy_tail_config():
     assert domains.siegel_proposal_logdensity(p, cfg) == pytest.approx(logd, abs=1e-9)
 
 
+@pytest.mark.parametrize("cfg", [
+    domains.SiegelSamplerConfig(),
+    domains.SiegelSamplerConfig(cauchy_x=True),
+], ids=["gauss", "cauchy"])
+def test_sample_siegel_batch_matches_per_point_density(cfg):
+    # each row's log density and log Delta of the defect against the
+    # per-point formulas (Cholesky recovery, minor polynomial)
+    rng = np.random.default_rng(17)
+    for alg in ALGS + [eja.herm_complex(3), eja.herm_quaternion(3)]:
+        V, logq, logdelta = domains.sample_siegel_batch(alg, 10, rng, cfg)
+        assert V.shape == (10, alg.zdim)
+        for v, lq, ld in zip(V, logq, logdelta):
+            p = domains.siegel_from_vector(alg, v)
+            assert domains.in_siegel_domain(p, tol=0.0)
+            want = domains.siegel_proposal_logdensity(p, cfg)
+            assert lq == pytest.approx(want, rel=1e-12, abs=1e-12)
+            want = cones.delta_j(domains.siegel_defect(p), alg.rank)
+            assert np.exp(ld) == pytest.approx(want, rel=1e-12)
+
+
+def test_sample_siegel_is_row_zero_of_a_batch():
+    cfg = domains.SiegelSamplerConfig(cauchy_x=True)
+    for alg in ALGS:
+        p, logq = domains.sample_siegel(alg, np.random.default_rng(5), cfg)
+        V, lq, _ = domains.sample_siegel_batch(alg, 1, np.random.default_rng(5), cfg)
+        q = domains.siegel_from_vector(alg, V[0])
+        assert np.array_equal(p.z.coords, q.z.coords)
+        assert (p.zeta is None) == (q.zeta is None)
+        assert p.zeta is None or np.array_equal(p.zeta, q.zeta)
+        assert logq == lq[0]
+
+
+def test_sample_siegel_draw_order():
+    # zeta (real, then imaginary parts), x, log diagonal, lower coordinates
+    alg = eja.herm_complex(2, 3)
+    raw = np.random.default_rng(8)
+    zeta = raw.normal(size=(2, 1)) + 1j * raw.normal(size=(2, 1))
+    x = raw.normal(size=4)
+    theta = np.concatenate([raw.normal(size=2), raw.normal(size=2)])
+    y = (cones.t_action(domains._triangular_from_params(alg, theta),
+                        eja.identity(alg))
+         + domains.phi_form(alg, zeta, zeta).real_part())
+    p, _ = domains.sample_siegel(alg, np.random.default_rng(8))
+    assert np.allclose(p.zeta, zeta, rtol=0, atol=1e-14)
+    assert np.allclose(p.z.coords, x + 1j * y.coords, rtol=0, atol=1e-13)
+
+
 def test_disc_proposal_density_closed_form():
     # x ~ N(0, sx), y lognormal: log y ~ N(0, 2 sd)
     cfg = domains.SiegelSamplerConfig(sigma_x=1.3, sigma_logdiag=0.8)

@@ -281,7 +281,8 @@ def test_bergman_disc_monomial_ratio():
 
 
 def test_bergman_evaluator_only_path_matches_oracle():
-    # force the per-point loop by dropping Taylor data
+    # no Taylor data and no batch evaluator: the default batch maps the
+    # evaluator over the accepted rows
     f = spaces.HolFunction(DISC, lambda p: complex(p.as_vector()[0]) ** 2)
     norm, se = spaces.bergman_norm_mc(f, 2.0, DISC, 20000,
                                       np.random.default_rng(6))
@@ -292,21 +293,6 @@ def test_bergman_needs_integrable_weight():
     one = spaces.poly_function(DISC, SparsePolynomial.constant(1, 1.0))
     with pytest.raises(ValueError):
         spaces.bergman_norm_mc(one, 1.0, DISC, 100, RNG)
-
-
-@pytest.mark.parametrize("cfg", [
-    domains.SiegelSamplerConfig(),
-    domains.SiegelSamplerConfig(cauchy_x=True),
-], ids=["gauss", "cauchy"])
-def test_siegel_batch_sym_real2_matches_per_point_sampler(cfg):
-    W, logq, detY = spaces._siegel_batch_sym_real2(
-        SR2, 40, np.random.default_rng(17), cfg)
-    for i in range(len(W)):
-        p = domains.SiegelPoint(SR2, None, eja.unembed_matrix(SR2, W[i]))
-        want = domains.siegel_proposal_logdensity(p, cfg)
-        assert logq[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
-        defect = domains.siegel_defect(p)
-        assert detY[i] == pytest.approx(cones.delta_j(defect, 2), rel=1e-12)
 
 
 def test_bergman_siegel_proportional_to_series():
@@ -616,6 +602,25 @@ def test_transport_preserves_kernel_pairings():
         want = (domains.kernel_siegel(lam, zs, cw)
                 / spaces._transport_factor(lam, cw).conjugate())
         assert fs(zs) == pytest.approx(want, rel=1e-10)
+
+
+TUBES = [eja.sym_real(1), eja.sym_real(2), eja.sym_real(3), eja.herm_complex(1),
+         eja.herm_complex(2), eja.herm_complex(3), eja.herm_quaternion(2),
+         eja.herm_quaternion(3), eja.spin_factor(4), eja.spin_factor(5)]
+
+
+def test_transport_batch_matches_per_point_evaluator():
+    # one batched inverse Cayley transform and log Delta per stack against
+    # inverse_cayley and delta_power_complex point by point, on Cauchy-tailed
+    # proposal draws
+    rng = np.random.default_rng(23)
+    cfg = domains.SiegelSamplerConfig(cauchy_x=True)
+    for alg in TUBES:
+        f = spaces.transport_to_siegel(
+            spaces.poly_function(alg, rand_poly(alg.dim_m, 2, rng)), 2.5)
+        V, _, _ = domains.sample_siegel_batch(alg, 8, rng, cfg)
+        want = [f(domains.siegel_from_vector(alg, v)) for v in V]
+        assert np.allclose(f.batch(V), want, rtol=1e-12, atol=0.0), alg
 
 
 def test_taylor_backed_function_consistency():
