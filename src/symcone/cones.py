@@ -39,37 +39,26 @@ CONE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 def _entry_polys(alg: AlgebraDescriptor) -> List[List[SparsePolynomial]]:
-    """Matrix of chart-variable polynomials for the embedded picture (for
-    herm_complex the full p x q matrix of BoundedPoint.as_vector)."""
+    """Matrix of chart-variable linear forms for the embedded picture: the
+    skew picture J H for quaternions, the full p x q matrix of
+    BoundedPoint.as_vector for herm_complex."""
     nv = alg.zdim
-    var = lambda k: SparsePolynomial.variable(nv, k)
-    if alg.family == "sym_real":
-        r = alg.size
-        E = [[None] * r for _ in range(r)]
-        k = 0
-        for i in range(r):
-            for j in range(i, r):
-                if i == j:
-                    E[i][i] = var(k)
-                else:
-                    E[i][j] = var(k) * (1 / np.sqrt(2.0))
-                    E[j][i] = E[i][j]
-                k += 1
-        return E
     if alg.family == "herm_complex":
         # the full p x q picture: z1 entries, then the half-space block
+        var = lambda k: SparsePolynomial.variable(nv, k)
         p, q = alg.size, alg.cols
         return [[var(i * p + j) if j < p else var(alg.dim_m + i * (q - p) + j - p)
                  for j in range(q)] for i in range(p)]
+    if alg.family not in ("sym_real", "herm_quaternion"):
+        raise ValueError(alg.family)
+    # entry (i, j) of embed_matrix(from_zchart(z)) is z @ coef[:, i, j]
+    chart = eja._chart(alg)
+    n = chart["n"]
+    coef = (chart["from_z"] @ chart["embed"]).reshape(nv, n, n)
     if alg.family == "herm_quaternion":
-        n2 = 2 * alg.size
-        E = [[SparsePolynomial.zero(nv) for _ in range(n2)] for _ in range(n2)]
-        iu = np.triu_indices(n2, k=1)
-        for k, (i, j) in enumerate(zip(*iu)):
-            E[i][j] = var(k)
-            E[j][i] = -var(k)
-        return E
-    raise ValueError(alg.family)
+        coef = eja._quat_J(alg.size) @ coef
+    return [[SparsePolynomial.linear_form(coef[:, i, j]) for j in range(n)]
+            for i in range(n)]
 
 
 def minor_polynomials(alg: AlgebraDescriptor) -> List[SparsePolynomial]:

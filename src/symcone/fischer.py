@@ -6,11 +6,15 @@ the coordinates of BoundedPoint.as_vector). The Fischer pairing is
 sum_alpha alpha! a_alpha conj(b_alpha), which matches both p(conj grad)q(0)
 and the Gaussian integral, and makes distinct monomials orthogonal.
 
-P_s bases come from randomized orbit spans: compose the generator Delta^s
-with Haar samples of the isotropy action, represent the results as
-factorial-weighted coefficient vectors (so Euclidean and Fischer geometry
-agree), and read an orthonormal basis off the SVD once the rank has been
-stable for three consecutive batches of 32 samples.
+P_s is spanned by the orbit of Delta^s under the isotropy group K. Its basis
+is built and kept as arrays over the monomial table of degree |s|: for each
+batch of Haar samples k, every factor Delta_j of Delta^s = prod_j
+Delta_j^(s_j - s_(j+1)) is composed with the matrices of k (its monomials are
+products of rows of the matrix), the powers and products are taken as dense
+stacks, and the rows are Fischer-weighted, so Euclidean and Fischer geometry
+agree. Once the numerical rank has been stable for three consecutive batches
+of 32 samples, the orthonormal rows of the SVD are the basis. Pairings
+against P_s are then one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import numpy as np
 
 from . import cones, domains, eja
 from .eja import AlgebraDescriptor
-from .poly import SparsePolynomial, det_poly, monomial_factorial
+from .poly import (SparsePolynomial, det_poly, monomial_factorial,
+                   monomial_table, mul_stacks, weighted_parts)
+from .poly import homogeneous_monomials  # noqa: F401  (part of this module's API)
 
 RANK_TOL = 1e-8
 BATCH = 32
@@ -55,40 +61,6 @@ def fischer_norm(p: SparsePolynomial) -> float:
     return float(np.sqrt(max(fischer_inner(p, p).real, 0.0)))
 
 
-def homogeneous_monomials(nvars: int, degree: int) -> List[Tuple[int, ...]]:
-    """All exponent tuples of the given total degree, lexicographic."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-
-    def rec(prefix, left):
-        if len(prefix) == nvars - 1:
-            out.append(tuple(prefix) + (left,))
-            return
-        for v in range(left + 1):
-            rec(prefix + [v], left - v)
-
-    rec([], degree)
-    out.sort()
-    return out
-
-
-def _weighted_vector(p: SparsePolynomial, index: Dict[Tuple[int, ...], int],
-                     weights: np.ndarray) -> np.ndarray:
-    v = np.zeros(len(index), dtype=complex)
-    for alpha, c in p.coeffs.items():
-        v[index[alpha]] = c
-    return v * weights
-
-
-def _vector_to_poly(nvars, monos, weights, v) -> SparsePolynomial:
-    p = SparsePolynomial.zero(nvars)
-    for alpha, w, c in zip(monos, weights, v):
-        if abs(c) > 1e-14:
-            p.coeffs[alpha] = c / w
-    return p
-
-
 # ---------------------------------------------------------------------------
 # Haar samples of the isotropy action
 # ---------------------------------------------------------------------------
@@ -103,13 +75,14 @@ class KSample:
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, R = np.linalg.qr(G)
-    return Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
 
 
 def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.normal(size=(n, n))
     Q, R = np.linalg.qr(G)
-    return Q @ np.diag(np.sign(np.diag(R)))
+    return Q * np.sign(np.diag(R))
 
 
 def _haar_symplectic_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,51 +128,41 @@ def identity_K(alg: AlgebraDescriptor) -> KSample:
 
 def haar_sample_K(alg: AlgebraDescriptor, rng: np.random.Generator) -> KSample:
     """One Haar sample of the stabilizer of 0 acting on the chart."""
-    d = alg.dim_m + alg.siegel_n
     if alg.family == "herm_complex":
-        u = _haar_unitary(alg.size, rng)
-        v = _haar_unitary(alg.cols, rng)
-
-        def act(vec):
-            Z = np.concatenate(
-                [vec[: alg.dim_m].reshape(alg.size, alg.size),
-                 vec[alg.dim_m:].reshape(alg.size, alg.cols - alg.size)], axis=1)
-            out = u @ Z @ v.conj().T
-            return np.concatenate([out[:, : alg.size].ravel(),
-                                   out[:, alg.size:].ravel()])
-    elif alg.family == "sym_real":
+        # Z -> u Z v*, which is kron(u, conj v) on row-major entries; the
+        # chart lists the z1 block first, then the half-space block
+        p, q = alg.size, alg.cols
+        u = _haar_unitary(p, rng)
+        v = _haar_unitary(q, rng)
+        K = u[:, None, :, None] * v.conj()[None, :, None, :]  # [i, j, k, l]
+        cols = np.concatenate([K[..., :p].reshape(p, q, -1),
+                               K[..., p:].reshape(p, q, -1)], axis=2)
+        return KSample(alg, np.concatenate([cols[:, :p].reshape(-1, alg.zdim),
+                                            cols[:, p:].reshape(-1, alg.zdim)]))
+    if alg.family == "sym_real":
+        # Z -> ph u Z u^T, through the chart's matrix picture
         u = _haar_orthogonal(alg.size, rng)
         ph = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-
-        def act(vec):
-            Z = eja.embed_matrix(eja.from_zchart(alg, vec))
-            return eja.to_zchart(eja.unembed_matrix(alg, ph * (u @ Z @ u.T)))
-    elif alg.family == "herm_quaternion":
+        ch = eja._chart(alg)
+        z_to_flat = ch["from_z"] @ ch["embed"]
+        flat_to_z = ch["unembed"] @ ch["to_z"]
+        return KSample(alg, ph * (z_to_flat @ np.kron(u, u).T @ flat_to_z).T)
+    if alg.family == "herm_quaternion":
+        # chart coordinates are the upper entries of the skew picture S; the
+        # quaternionic conjugation H -> u H u* reads S -> conj(u) S u*, whose
+        # matrix on the upper entries is the 2 x 2 minors of conj(u)
         u = _haar_symplectic_unitary(alg.size, rng)
         ph = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        iu = np.triu_indices(2 * alg.size, k=1)
-
-        def act(vec):
-            # chart coordinates are the upper entries of the skew picture;
-            # the quaternionic conjugation H -> u H u* reads conj(u) S u*
-            S = np.zeros((2 * alg.size, 2 * alg.size), dtype=complex)
-            S[iu] = vec
-            S = S - S.T
-            S2 = ph * (np.conj(u) @ S @ u.conj().T)
-            return S2[iu]
-    elif alg.family == "spin":
+        a, b = np.triu_indices(2 * alg.size, k=1)
+        ub = u.conj()
+        return KSample(alg, ph * (ub[np.ix_(a, a)] * ub[np.ix_(b, b)]
+                                  - ub[np.ix_(a, b)] * ub[np.ix_(b, a)]))
+    if alg.family == "spin":
         lam = _spin_lambda(alg.dim_m)
         R = _haar_orthogonal(alg.dim_m, rng)
         ph = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
         return KSample(alg, np.linalg.solve(lam, ph * R @ lam))
-    else:
-        raise ValueError(f"unsupported family: {alg.family}")
-    cols = []
-    for k in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[k] = 1.0
-        cols.append(act(e))
-    return KSample(alg, np.column_stack(cols))
+    raise ValueError(f"unsupported family: {alg.family}")
 
 
 def k_apply(k: KSample, p: "domains.BoundedPoint") -> "domains.BoundedPoint":
@@ -210,29 +173,87 @@ def k_apply(k: KSample, p: "domains.BoundedPoint") -> "domains.BoundedPoint":
 # orbit spans and the P_s projections
 # ---------------------------------------------------------------------------
 
-def delta_power_poly(alg: AlgebraDescriptor, s: Sequence[int]) -> SparsePolynomial:
-    """Delta^s as a chart polynomial (non-increasing integer s >= 0)."""
+def signature_factors(alg: AlgebraDescriptor,
+                      s: Sequence[int]) -> List[Tuple[SparsePolynomial, int]]:
+    """[(Delta_j, s_j - s_(j+1))] for a non-increasing integer s >= 0, so
+    that Delta^s = prod_j Delta_j^(s_j - s_(j+1))."""
     s = tuple(int(v) for v in s)
     if len(s) != alg.rank or any(v < 0 for v in s) or any(
             s[i] < s[i + 1] for i in range(len(s) - 1)):
         raise ValueError("need a non-increasing non-negative signature")
-    minors = cones.minor_polynomials(alg)
-    nv = alg.dim_m + alg.siegel_n
-    out = SparsePolynomial.constant(nv, 1.0)
     exps = list(s) + [0]
-    for j in range(alg.rank):
-        e = exps[j] - exps[j + 1]
+    return [(m, exps[j] - exps[j + 1])
+            for j, m in enumerate(cones.minor_polynomials(alg))]
+
+
+def delta_power_poly(alg: AlgebraDescriptor, s: Sequence[int]) -> SparsePolynomial:
+    """Delta^s as a chart polynomial (non-increasing integer s >= 0)."""
+    out = SparsePolynomial.constant(alg.zdim, 1.0)
+    for m, e in signature_factors(alg, s):
         if e:
-            out = out * minors[j] ** e
+            out = out * m ** e
     return out
 
 
-def orbit_span(generator: SparsePolynomial, samples: Iterable[KSample],
+def _homogeneous_degree(p: SparsePolynomial) -> int:
+    degrees = {sum(a) for a in p.coeffs}
+    if len(degrees) != 1:
+        raise ValueError("orbit span factors must be nonzero homogeneous polynomials")
+    return degrees.pop()
+
+
+def _compose_factor(p: SparsePolynomial, lin: np.ndarray, d: int) -> np.ndarray:
+    """Coefficient stack of p o M for every matrix M of the batch.
+
+    lin[b, i] is row i of the b-th matrix as a degree-1 table vector, the
+    linear form substituted for z_i; each monomial of p (degree d) is the
+    product of d of them.
+    """
+    nvars, rows = p.nvars, lin.shape[0]
+    if d == 0:
+        return np.full((rows, 1), p.coeffs[(0,) * nvars])
+    monos = list(p.coeffs)
+    coeffs = np.array([p.coeffs[a] for a in monos])
+    # the variables of each monomial, with multiplicity, one column per slot
+    slots = np.array([[i for i, k in enumerate(a) for _ in range(k)] for a in monos])
+    prod = lin[:, slots[:, 0]].reshape(-1, nvars)
+    for j in range(1, d):
+        prod = mul_stacks(prod, lin[:, slots[:, j]].reshape(-1, nvars), nvars, j, 1)
+    return np.tensordot(prod.reshape(rows, len(monos), -1), coeffs, axes=([1], [0]))
+
+
+def _composed_rows(factors: Sequence[Tuple[SparsePolynomial, int]],
+                   mats: np.ndarray) -> np.ndarray:
+    """Fischer-weighted coefficient rows of prod_j (p_j o M)^(e_j), one row
+    per matrix M of the (B, n, n) stack, over the monomial table of the
+    product's degree."""
+    nvars = factors[0][0].nvars
+    # the degree-1 table lists z_(n-1) first, so row i of M reversed is the
+    # linear form sum_k M[i, k] z_k
+    lin = mats[:, :, ::-1]
+    out, deg = np.ones((len(mats), 1), dtype=complex), 0
+    for p, e in factors:
+        if not e:
+            continue
+        d = _homogeneous_degree(p)
+        q = _compose_factor(p, lin, d)
+        for _ in range(e):
+            out = mul_stacks(out, q, nvars, deg, d)
+            deg += d
+    return out * monomial_table(nvars, deg).weights
+
+
+def orbit_span(factors: Sequence[Tuple[SparsePolynomial, int]],
+               samples: Iterable[KSample],
                rank_tol: float = RANK_TOL, batch: int = BATCH,
                stable_batches: int = STABLE_BATCHES,
-               max_batches: int = MAX_BATCHES) -> List[SparsePolynomial]:
-    """Fischer-orthonormal basis of the span of {generator o k}.
+               max_batches: int = MAX_BATCHES) -> np.ndarray:
+    """Orthonormal basis of the span of {g o k}, g = prod_j p_j^(e_j).
 
+    factors are the (p_j, e_j), each p_j a nonzero homogeneous polynomial.
+    The basis comes back as orthonormal rows of Fischer-weighted coefficients
+    over the monomial table of the degree of g (poly.monomial_table), so the
+    Fischer pairing of two basis elements is the dot product of their rows.
     Consumes samples in batches; stops once the numerical rank has been
     unchanged for three consecutive batches. Running out of samples or
     batches first raises with the last observed ranks.
@@ -242,32 +263,24 @@ def orbit_span(generator: SparsePolynomial, samples: Iterable[KSample],
     if first is None:
         raise ValueError("need at least one isotropy sample")
     it = itertools.chain([first], it)
-    d = generator.degree()
-    if d < 0:
-        return []
-    if d == 0:
-        return [SparsePolynomial.constant(generator.nvars, 1.0)]
-    nvars = generator.nvars
-    monos = homogeneous_monomials(nvars, d)
-    index = {m: i for i, m in enumerate(monos)}
-    weights = np.sqrt(np.array([monomial_factorial(m) for m in monos]))
-    rows = [_weighted_vector(generator, index, weights)]
+    factors = [(p, int(e)) for p, e in factors]
+    if sum(_homogeneous_degree(p) * e for p, e in factors) == 0:
+        return np.ones((1, 1))
+    nvars = factors[0][0].nvars
+    rows = [_composed_rows(factors, np.eye(nvars, dtype=complex)[None])]
     ranks: List[int] = []
     for _ in range(max_batches):
         got = list(itertools.islice(it, batch))
         if not got:
             break
-        for k in got:
-            rows.append(_weighted_vector(
-                generator.compose_linear(k.matrix), index, weights))
+        rows.append(_composed_rows(factors, np.array([k.matrix for k in got])))
         A = np.vstack(rows)
         sv = np.linalg.svd(A, compute_uv=False)
         rank = int(np.sum(sv > rank_tol * sv[0]))
         ranks.append(rank)
         if len(ranks) >= stable_batches and len(set(ranks[-stable_batches:])) == 1:
             _, _, Vh = np.linalg.svd(A, full_matrices=False)
-            return [_vector_to_poly(nvars, monos, weights, Vh[i])
-                    for i in range(rank)]
+            return Vh[:rank].copy()  # a view would keep all of Vh alive
     raise RuntimeError(f"orbit rank did not stabilize; last ranks {ranks[-2:]}")
 
 
@@ -278,23 +291,28 @@ def _haar_stream(alg: AlgebraDescriptor,
 
 
 class PsProjector:
-    """Caches P_s bases for one algebra; deterministic seeding per signature."""
+    """Caches P_s bases for one algebra; deterministic seeding per signature.
+
+    A basis is kept as the orthonormal rows of orbit_span: Fischer-weighted
+    coefficients over the monomial table of degree |s|.
+    """
 
     def __init__(self, alg: AlgebraDescriptor, seed: int = 828131):
         self.alg = alg
         self.seed = seed
-        self._bases: Dict[Tuple[int, ...], List[SparsePolynomial]] = {}
+        self._bases: Dict[Tuple[int, ...], np.ndarray] = {}
 
     def _rng_for(self, s: Tuple[int, ...]) -> np.random.Generator:
         material = [self.seed, self.alg.rank, self.alg.dim_m,
                     self.alg.siegel_n, self.alg.genus] + list(s)
         return np.random.default_rng(np.random.SeedSequence(material))
 
-    def basis(self, s: Sequence[int]) -> List[SparsePolynomial]:
+    def basis(self, s: Sequence[int]) -> np.ndarray:
+        """Orthonormal rows spanning P_s (one row per basis polynomial)."""
         s = tuple(int(v) for v in s)
         if s not in self._bases:
-            gen = delta_power_poly(self.alg, s)
-            self._bases[s] = orbit_span(gen, _haar_stream(self.alg, self._rng_for(s)))
+            self._bases[s] = orbit_span(signature_factors(self.alg, s),
+                                        _haar_stream(self.alg, self._rng_for(s)))
         return self._bases[s]
 
     def dim(self, s: Sequence[int]) -> int:
@@ -302,18 +320,18 @@ class PsProjector:
 
     def project(self, f: SparsePolynomial, s: Sequence[int]) -> SparsePolynomial:
         s = tuple(int(v) for v in s)
-        nv = self.alg.dim_m + self.alg.siegel_n
+        nv = self.alg.zdim
         if f.nvars != nv:
             raise ValueError("polynomial lives on the wrong chart")
         if self.alg.rank == 1:
             # P_(k) is the full homogeneous component of degree k
             return f.homogeneous_part(s[0])
-        out = SparsePolynomial.zero(nv)
-        for b in self.basis(s):
-            c = fischer_inner(f, b)
-            if abs(c) > 1e-15:
-                out = out + c * b
-        return out
+        d = sum(s)
+        v = weighted_parts(f, d).get(d)
+        if v is None:
+            return SparsePolynomial.zero(nv)
+        rows = self.basis(s)
+        return monomial_table(nv, d).polynomial((rows.conj() @ v) @ rows)
 
 
 _PROJECTORS: Dict[AlgebraDescriptor, PsProjector] = {}

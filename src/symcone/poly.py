@@ -1,12 +1,19 @@
-"""Sparse polynomials in several complex variables.
+"""Sparse polynomials in several complex variables, and dense coefficient
+stacks over the monomials of one degree.
 
 Monomials are keyed by exponent tuples; coefficients are complex scalars.
 This representation is aimed at the moderate degrees (<= 60 in one variable,
-<= 12 in up to ~8 variables) used throughout the package, so everything is
-dictionary arithmetic plus vectorized evaluation. Arithmetic keeps every
-nonzero coefficient; only cleanup(tol) drops those with modulus below tol
-relative to the largest one, to keep dictionaries from silting up with
+<= 12 in up to ~8 variables) used throughout the package. Arithmetic keeps
+every nonzero coefficient; only cleanup(tol) drops those with modulus below
+tol relative to the largest one, to keep dictionaries from silting up with
 float dust.
+
+Bulk work goes through arrays instead: monomial_table(nvars, degree) fixes
+the order of the monomials of one degree (homogeneous_monomials order) and
+their Fischer weights sqrt(alpha!), so a homogeneous polynomial is a vector
+and a batch of them a stack of rows. mul_stacks multiplies two stacks row by
+row, and weighted_parts turns a SparsePolynomial into one Fischer-weighted
+vector per degree, whose plain dot products are Fischer pairings.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from operator import add
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -270,6 +277,100 @@ def monomial_factorial(alpha: Exponent) -> float:
     for k in alpha:
         out *= math.factorial(k)
     return out
+
+
+def homogeneous_monomials(nvars: int, degree: int) -> List[Exponent]:
+    """All exponent tuples of the given total degree, lexicographic."""
+    if nvars == 0:
+        return [()] if degree == 0 else []
+    out = []
+
+    def rec(prefix, left):
+        if len(prefix) == nvars - 1:
+            out.append(tuple(prefix) + (left,))
+            return
+        for v in range(left + 1):
+            rec(prefix + [v], left - v)
+
+    rec([], degree)
+    out.sort()
+    return out
+
+
+class MonomialTable:
+    """The monomials of one degree: their order, positions and Fischer weights.
+
+    A homogeneous polynomial of this degree is the vector of its coefficients
+    in `monos` order; its Fischer-weighted vector carries sqrt(alpha!) p_alpha,
+    so the Fischer pairing of two polynomials is the plain dot product of
+    their weighted vectors (one conjugated).
+    """
+
+    __slots__ = ("nvars", "monos", "index", "weights")
+
+    def __init__(self, nvars: int, degree: int):
+        self.nvars = nvars
+        self.monos = tuple(homogeneous_monomials(nvars, degree))
+        self.index = {a: i for i, a in enumerate(self.monos)}
+        self.weights = np.sqrt([monomial_factorial(a) for a in self.monos])
+        self.weights.flags.writeable = False
+
+    def polynomial(self, v: np.ndarray) -> SparsePolynomial:
+        """The polynomial whose Fischer-weighted vector is v; exact zeros of v
+        are left out."""
+        c = v / self.weights
+        return SparsePolynomial(self.nvars, {self.monos[i]: c[i] for i in np.flatnonzero(c)})
+
+
+@cache
+def monomial_table(nvars: int, degree: int) -> MonomialTable:
+    return MonomialTable(nvars, degree)
+
+
+def weighted_parts(p: SparsePolynomial, max_degree: int) -> Dict[int, np.ndarray]:
+    """Fischer-weighted vector of each nonzero homogeneous part of p up to
+    max_degree, keyed by degree, in one pass over the coefficients."""
+    terms: Dict[int, list] = {}
+    for a, c in p.coeffs.items():
+        d = sum(a)
+        if d <= max_degree:
+            terms.setdefault(d, []).append((a, c))
+    out = {}
+    for d, ts in terms.items():
+        tab = monomial_table(p.nvars, d)
+        v = np.zeros(len(tab.monos), dtype=complex)
+        v[[tab.index[a] for a, _ in ts]] = [c for _, c in ts]
+        out[d] = v * tab.weights
+    return out
+
+
+@cache
+def _product_targets(nvars: int, da: int, db: int) -> np.ndarray:
+    """Position in the degree-(da + db) table of every product of a degree-da
+    and a degree-db monomial, row-major over the two tables."""
+    ma = monomial_table(nvars, da).monos
+    mb = monomial_table(nvars, db).monos
+    index = monomial_table(nvars, da + db).index
+    out = np.array([index[tuple(map(add, a, b))] for a in ma for b in mb], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def mul_stacks(a: np.ndarray, b: np.ndarray, nvars: int, da: int, db: int) -> np.ndarray:
+    """Row-by-row products of two coefficient stacks.
+
+    a is (B, N_da) and b is (B, N_db), plain (unweighted) coefficients of
+    homogeneous polynomials over the tables of degrees da and db; the result
+    is the (B, N_(da+db)) stack of the products. Every pairwise term is summed
+    into its target monomial with one bincount per real and imaginary part.
+    """
+    n_out = len(monomial_table(nvars, da + db).monos)
+    rows = a.shape[0]
+    terms = (a[:, :, None] * b[:, None, :]).reshape(rows, -1)
+    flat = (np.arange(rows)[:, None] * n_out + _product_targets(nvars, da, db)).ravel()
+    re = np.bincount(flat, terms.real.ravel(), rows * n_out)
+    im = np.bincount(flat, terms.imag.ravel(), rows * n_out)
+    return (re + 1j * im).reshape(rows, n_out)
 
 
 def det_poly(entries) -> SparsePolynomial:

@@ -23,7 +23,7 @@ import numpy as np
 from . import cones, domains, eja, fischer, wallach
 from .domains import AffineMap, BoundedPoint, MobiusMap, SiegelPoint
 from .eja import AlgebraDescriptor
-from .poly import SparsePolynomial
+from .poly import SparsePolynomial, weighted_parts
 
 PSD_HARD = 1e-8   # below -PSD_HARD * ||G||: a genuine negative witness
 PSD_SOFT = 1e-10  # above -PSD_SOFT * ||G||: numerically positive
@@ -269,22 +269,24 @@ def _taylor_of(f) -> SparsePolynomial:
 
 
 def _signature_pairing(proj: fischer.PsProjector, s: Tuple[int, ...],
-                       fp: SparsePolynomial, gp: SparsePolynomial,
-                       same: bool) -> complex:
-    """Fischer pairing of the two projections, through the cached
-    orthonormal bases so no projected polynomial is materialized."""
+                       vf: Dict[int, np.ndarray], vg: Dict[int, np.ndarray]) -> complex:
+    """Fischer pairing of the P_s projections of f and g.
+
+    vf and vg are the weighted parts of f and g (poly.weighted_parts); the
+    pairing is one product with the cached orthonormal rows of P_s, so no
+    projected polynomial is materialized.
+    """
+    d = sum(s)
+    a, b = vf.get(d), vg.get(d)
+    if a is None or b is None:
+        return 0.0
     if proj.alg.rank == 1:
-        pf = fp.homogeneous_part(s[0])
-        if not pf.coeffs:
-            return 0.0
-        pg = pf if same else gp.homogeneous_part(s[0])
-        if not pg.coeffs:
-            return 0.0
-        return fischer.fischer_inner(pf, pg)
-    basis = proj.basis(s)
-    cf = np.array([fischer.fischer_inner(fp, b) for b in basis])
-    cg = cf if same else np.array([fischer.fischer_inner(gp, b) for b in basis])
-    return complex(np.dot(cf, np.conj(cg)))
+        # P_(k) is the full homogeneous component of degree k
+        return complex(a @ b.conj())
+    rows = proj.basis(s).conj()
+    cf = rows @ a
+    cg = cf if b is a else rows @ b
+    return complex(cf @ cg.conj())
 
 
 def h_lambda_inner(f, g, lam: float, alg: AlgebraDescriptor,
@@ -300,17 +302,18 @@ def h_lambda_inner(f, g, lam: float, alg: AlgebraDescriptor,
         raise ValueError("parameter outside the positive set; "
                          "use h_tilde_seminorm on the discrete lattice")
     fp, gp = _taylor_of(f), _taylor_of(g)
-    same = gp is fp
     proj = cache if cache is not None else fischer.projector(alg)
     if fp.degree() < 0 or gp.degree() < 0:
         return 0.0 + 0.0j, 0.0
     top = min(trunc_degree, fp.degree(), gp.degree())
+    vf = weighted_parts(fp, top)
+    vg = vf if gp is fp else weighted_parts(gp, top)
     total = 0.0 + 0.0j
     shell = 0.0
     for s in wallach.enumerate_signatures(alg.rank, top):
         if wallach.q_order(s, lam, alg) != 0:
             continue
-        pair = _signature_pairing(proj, s, fp, gp, same)
+        pair = _signature_pairing(proj, s, vf, vg)
         if pair == 0.0:
             continue
         term = pair / wallach.pochhammer(lam, s, alg)
@@ -345,11 +348,12 @@ def h_tilde_seminorm(f, lam: float, alg: AlgebraDescriptor, trunc_degree: int,
     if fp.degree() < 0:
         return 0.0
     top = min(trunc_degree, fp.degree())
+    vf = weighted_parts(fp, top)
     total = 0.0
     for s in wallach.enumerate_signatures(alg.rank, top):
         if wallach.q_order(s, lam, alg) != qm:
             continue
-        pair = _signature_pairing(proj, s, fp, fp, True)
+        pair = _signature_pairing(proj, s, vf, vf)
         if pair == 0.0:
             continue
         total += pair.real / wallach.residue_pochhammer(lam, s, alg)
@@ -367,10 +371,11 @@ def dilation_monotonicity(f, lam: float, alg: AlgebraDescriptor,
     proj = cache if cache is not None else fischer.projector(alg)
     terms: List[Tuple[int, float]] = []
     top = min(trunc_degree, max(fp.degree(), 0))
+    vf = weighted_parts(fp, top)
     for s in wallach.enumerate_signatures(alg.rank, top):
         if wallach.q_order(s, lam, alg) != 0:
             continue
-        pair = _signature_pairing(proj, s, fp, fp, True)
+        pair = _signature_pairing(proj, s, vf, vf)
         if pair == 0.0:
             continue
         terms.append((sum(s),

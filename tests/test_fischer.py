@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symcone import cones, domains, eja, fischer, wallach
-from symcone.poly import SparsePolynomial
+from symcone.poly import SparsePolynomial, monomial_table
 
 RNG = np.random.default_rng(20240815)
 
@@ -210,39 +210,56 @@ def _samples(alg, seed, n=400):
 
 
 def test_orbit_span_ball_linear():
-    basis = fischer.orbit_span(SparsePolynomial.variable(2, 0), _samples(BALL2, 1))
-    assert len(basis) == 2
+    rows = fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)], _samples(BALL2, 1))
+    assert len(rows) == 2
 
 
 def test_orbit_span_constant():
-    basis = fischer.orbit_span(SparsePolynomial.constant(2, 3.0), _samples(BALL2, 2))
-    assert len(basis) == 1
-    assert basis[0].coeffs == {(0, 0): pytest.approx(1.0)}
+    rows = fischer.orbit_span([(SparsePolynomial.constant(2, 3.0), 1)],
+                              _samples(BALL2, 2))
+    assert rows.shape == (1, 1)
+    assert rows[0, 0] == pytest.approx(1.0)
 
 
 def test_orbit_span_determinant_line():
     # Delta_2 spans a one-dimensional space: K moves it by a character
-    gen = fischer.delta_power_poly(SR2, (1, 1))
-    basis = fischer.orbit_span(gen, _samples(SR2, 3))
-    assert len(basis) == 1
+    rows = fischer.orbit_span(fischer.signature_factors(SR2, (1, 1)), _samples(SR2, 3))
+    assert len(rows) == 1
 
 
 def test_orbit_span_needs_samples():
     with pytest.raises(ValueError):
-        fischer.orbit_span(SparsePolynomial.variable(2, 0), [])
+        fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)], [])
 
 
 def test_orbit_span_reports_rank_on_failure():
-    gen = fischer.delta_power_poly(SR2, (2, 0))
+    factors = fischer.signature_factors(SR2, (2, 0))
     with pytest.raises(RuntimeError, match="last ranks"):
-        fischer.orbit_span(gen, _samples(SR2, 4, n=64), max_batches=2)
+        fischer.orbit_span(factors, _samples(SR2, 4, n=64), max_batches=2)
 
 
 def test_orbit_basis_is_orthonormal():
-    gen = fischer.delta_power_poly(SR2, (2, 1))
-    basis = fischer.orbit_span(gen, _samples(SR2, 5))
-    G = np.array([[fischer.fischer_inner(a, b) for b in basis] for a in basis])
-    assert np.linalg.norm(G - np.eye(len(basis))) < 1e-10
+    rows = fischer.orbit_span(fischer.signature_factors(SR2, (2, 1)), _samples(SR2, 5))
+    assert np.linalg.norm(rows @ rows.conj().T - np.eye(len(rows))) < 1e-10
+
+
+@pytest.mark.parametrize("alg,top", [
+    (SR2, 6), (eja.sym_real(3), 4), (eja.herm_complex(2, 2), 5), (HC23, 4),
+    (HQ2, 4), (SP4, 6), (eja.spin_factor(5), 5),
+], ids=str)
+def test_composed_rows_match_compose_linear(alg, top):
+    # the dense batch route against the dictionary route, row by row
+    rng = np.random.default_rng(61)
+    ks = [fischer.haar_sample_K(alg, rng) for _ in range(3)]
+    mats = np.array([k.matrix for k in ks])
+    for s in wallach.enumerate_signatures(alg.rank, top):
+        rows = fischer._composed_rows(fischer.signature_factors(alg, s), mats)
+        table = monomial_table(alg.zdim, sum(s))
+        gen = fischer.delta_power_poly(alg, s)
+        for k, row in zip(ks, rows):
+            moved = gen.compose_linear(k.matrix)
+            want = np.array([moved.coeffs.get(a, 0.0) for a in table.monos]) * table.weights
+            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

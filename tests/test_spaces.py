@@ -8,7 +8,7 @@ import pytest
 
 from symcone import cones, domains, eja, fischer, spaces, wallach
 from symcone.eja import Element
-from symcone.poly import SparsePolynomial
+from symcone.poly import SparsePolynomial, monomial_table
 
 RNG = np.random.default_rng(20240816)
 
@@ -183,6 +183,28 @@ def test_reproducing_identity_symreal2():
         got, shell = spaces.h_lambda_inner(kw, kwp, lam, SR2, 8, cache=proj)
         want = domains.kernel_bounded(lam, wp, w)
         assert abs(got - want) <= max(1e-6, 10 * shell)
+
+
+@pytest.mark.parametrize("alg,lam,top", [
+    (SR2, 2.5, 5), (eja.herm_complex(2, 2), 3.0, 3), (eja.spin_factor(4), 2.5, 4),
+], ids=str)
+def test_h_lambda_inner_matches_basis_polynomial_formula(alg, lam, top):
+    # sum_s sum_b <f, b>_F conj<g, b>_F / (lambda)_s over basis polynomials
+    # rebuilt from the stored rows, against the one-product pairing
+    rng = np.random.default_rng(33)
+    proj = fischer.projector(alg)
+    f, g = rand_poly(alg.zdim, top, rng), rand_poly(alg.zdim, top, rng)
+    want = 0.0
+    for s in wallach.enumerate_signatures(alg.rank, top):
+        table = monomial_table(alg.zdim, sum(s))
+        pair = 0.0
+        for row in proj.basis(s):
+            b = SparsePolynomial(alg.zdim, {a: c / w for a, c, w
+                                            in zip(table.monos, row, table.weights)})
+            pair += fischer.fischer_inner(f, b) * np.conj(fischer.fischer_inner(g, b))
+        want += pair / wallach.pochhammer(lam, s, alg)
+    got, _ = spaces.h_lambda_inner(f, g, lam, alg, top, cache=proj)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_dilation_monotonicity_single_term():
