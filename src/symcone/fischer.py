@@ -6,36 +6,38 @@ the coordinates of BoundedPoint.as_vector). The Fischer pairing is
 sum_alpha alpha! a_alpha conj(b_alpha), which matches both p(conj grad)q(0)
 and the Gaussian integral, and makes distinct monomials orthogonal.
 
-P_s is spanned by the orbit of Delta^s under the isotropy group K. Its basis
-is built and kept as arrays over the monomial table of degree |s|: for each
-batch of Haar samples k, every factor Delta_j of Delta^s = prod_j
-Delta_j^(s_j - s_(j+1)) is composed with the matrices of k (its monomials are
-products of rows of the matrix), the powers and products are taken as dense
-stacks, and the rows are Fischer-weighted, so Euclidean and Fischer geometry
-agree. Once the numerical rank has been stable for three consecutive batches
-of 32 samples, the orthonormal rows of the SVD are the basis. Pairings
-against P_s are then one matrix-vector product.
+P_s is spanned by the orbit of Delta^s under the isotropy group K, and its
+dimension has a closed form (dim_Ps). Its basis is built and kept as arrays
+over the monomial table of degree |s|: for dim P_s + MARGIN Haar samples k,
+every factor Delta_j of Delta^s = prod_j Delta_j^(s_j - s_(j+1)) is composed
+with the matrices of k (its monomials are products of rows of the matrix),
+the powers and products are taken as dense stacks, and the rows are
+Fischer-weighted, so Euclidean and Fischer geometry agree. The top dim P_s
+rows of one SVD are the basis, and the numerical rank must equal dim P_s.
+Pairings against P_s are then one matrix-vector product.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from fractions import Fraction
+from itertools import combinations
+from math import prod
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from . import cones, domains, eja
+from . import cones, domains, eja, wallach
 from .eja import AlgebraDescriptor
 from .poly import (SparsePolynomial, det_poly, monomial_factorial,
                    monomial_table, mul_stacks, weighted_parts)
 from .poly import homogeneous_monomials  # noqa: F401  (part of this module's API)
 
 RANK_TOL = 1e-8
-BATCH = 32
-STABLE_BATCHES = 3
-MAX_BATCHES = 60
+# Haar samples beyond dim P_s per basis; with 8 the smallest kept singular
+# value stays >= 5e-4 of the largest on every family tested (0 fell to 4.8e-7)
+MARGIN = 8
+SEED = 828131
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +95,8 @@ def _haar_symplectic_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
     and the squared norm of a block column is a real multiple of I_2.
     """
     n = 2 * p
-    X = np.zeros((n, n), dtype=complex)
-    for i in range(p):
-        for j in range(p):
-            q = rng.normal(size=4)
-            X[2 * i: 2 * i + 2, 2 * j: 2 * j + 2] = sum(
-                q[k] * eja._QUNITS[k] for k in range(4))
+    q = rng.normal(size=(p, p, 4))
+    X = np.einsum("ijk,kab->iajb", q, np.array(eja._QUNITS)).reshape(n, n)
     Q = np.zeros((n, n), dtype=complex)
     for j in range(p):
         v = X[:, 2 * j: 2 * j + 2].copy()
@@ -177,11 +175,7 @@ def signature_factors(alg: AlgebraDescriptor,
                       s: Sequence[int]) -> List[Tuple[SparsePolynomial, int]]:
     """[(Delta_j, s_j - s_(j+1))] for a non-increasing integer s >= 0, so
     that Delta^s = prod_j Delta_j^(s_j - s_(j+1))."""
-    s = tuple(int(v) for v in s)
-    if len(s) != alg.rank or any(v < 0 for v in s) or any(
-            s[i] < s[i + 1] for i in range(len(s) - 1)):
-        raise ValueError("need a non-increasing non-negative signature")
-    exps = list(s) + [0]
+    exps = list(wallach._check_signature(s, alg.rank)) + [0]
     return [(m, exps[j] - exps[j + 1])
             for j, m in enumerate(cones.minor_polynomials(alg))]
 
@@ -244,66 +238,55 @@ def _composed_rows(factors: Sequence[Tuple[SparsePolynomial, int]],
 
 
 def orbit_span(factors: Sequence[Tuple[SparsePolynomial, int]],
-               samples: Iterable[KSample],
-               rank_tol: float = RANK_TOL, batch: int = BATCH,
-               stable_batches: int = STABLE_BATCHES,
-               max_batches: int = MAX_BATCHES) -> np.ndarray:
-    """Orthonormal basis of the span of {g o k}, g = prod_j p_j^(e_j).
+               samples: Sequence[KSample],
+               dim: int) -> Tuple[np.ndarray, Tuple[float, float]]:
+    """Orthonormal basis of the span of {g o k}, g = prod_j p_j^(e_j), whose
+    dimension is dim, and the singular gap (sv_dim, sv_(dim+1)) / sv_1.
 
     factors are the (p_j, e_j), each p_j a nonzero homogeneous polynomial.
     The basis comes back as orthonormal rows of Fischer-weighted coefficients
     over the monomial table of the degree of g (poly.monomial_table), so the
     Fischer pairing of two basis elements is the dot product of their rows.
-    Consumes samples in batches; stops once the numerical rank has been
-    unchanged for three consecutive batches. Running out of samples or
-    batches first raises with the last observed ranks.
+    A numerical rank other than dim raises with the singular values.
     """
-    it = iter(samples)
-    first = next(it, None)
-    if first is None:
+    if not samples:
         raise ValueError("need at least one isotropy sample")
-    it = itertools.chain([first], it)
     factors = [(p, int(e)) for p, e in factors]
     if sum(_homogeneous_degree(p) * e for p, e in factors) == 0:
-        return np.ones((1, 1))
-    nvars = factors[0][0].nvars
-    rows = [_composed_rows(factors, np.eye(nvars, dtype=complex)[None])]
-    ranks: List[int] = []
-    for _ in range(max_batches):
-        got = list(itertools.islice(it, batch))
-        if not got:
-            break
-        rows.append(_composed_rows(factors, np.array([k.matrix for k in got])))
-        A = np.vstack(rows)
-        sv = np.linalg.svd(A, compute_uv=False)
-        rank = int(np.sum(sv > rank_tol * sv[0]))
-        ranks.append(rank)
-        if len(ranks) >= stable_batches and len(set(ranks[-stable_batches:])) == 1:
-            _, _, Vh = np.linalg.svd(A, full_matrices=False)
-            return Vh[:rank].copy()  # a view would keep all of Vh alive
-    raise RuntimeError(f"orbit rank did not stabilize; last ranks {ranks[-2:]}")
+        return np.ones((1, 1)), (1.0, 0.0)
+    A = _composed_rows(factors, np.array([k.matrix for k in samples]))
+    _, sv, Vh = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
+    if rank != dim:
+        raise RuntimeError(f"orbit rank {rank} is not dim {dim}; "
+                           f"singular values {np.array2string(sv, precision=3)}")
+    gap = (float(sv[dim - 1] / sv[0]),
+           float(sv[dim] / sv[0]) if dim < len(sv) else 0.0)
+    return Vh[:dim].copy(), gap  # a view would keep all of Vh alive
 
 
-def _haar_stream(alg: AlgebraDescriptor,
-                 rng: np.random.Generator) -> Iterator[KSample]:
-    while True:
-        yield haar_sample_K(alg, rng)
+class SpanRecord(NamedTuple):
+    """How one P_s basis was built: Haar samples and singular gap."""
+    samples: int
+    sv_dim: float   # sv_dim / sv_1, the smallest kept singular value
+    sv_next: float  # sv_(dim+1) / sv_1, the largest dropped one
 
 
 class PsProjector:
     """Caches P_s bases for one algebra; deterministic seeding per signature.
 
     A basis is kept as the orthonormal rows of orbit_span: Fischer-weighted
-    coefficients over the monomial table of degree |s|.
+    coefficients over the monomial table of degree |s|. spans[s] records how
+    the basis of s was built.
     """
 
-    def __init__(self, alg: AlgebraDescriptor, seed: int = 828131):
+    def __init__(self, alg: AlgebraDescriptor):
         self.alg = alg
-        self.seed = seed
         self._bases: Dict[Tuple[int, ...], np.ndarray] = {}
+        self.spans: Dict[Tuple[int, ...], SpanRecord] = {}
 
     def _rng_for(self, s: Tuple[int, ...]) -> np.random.Generator:
-        material = [self.seed, self.alg.rank, self.alg.dim_m,
+        material = [SEED, self.alg.rank, self.alg.dim_m,
                     self.alg.siegel_n, self.alg.genus] + list(s)
         return np.random.default_rng(np.random.SeedSequence(material))
 
@@ -311,12 +294,16 @@ class PsProjector:
         """Orthonormal rows spanning P_s (one row per basis polynomial)."""
         s = tuple(int(v) for v in s)
         if s not in self._bases:
-            self._bases[s] = orbit_span(signature_factors(self.alg, s),
-                                        _haar_stream(self.alg, self._rng_for(s)))
+            dim = self.dim(s)
+            rng = self._rng_for(s)
+            samples = [haar_sample_K(self.alg, rng) for _ in range(dim + MARGIN)]
+            rows, gap = orbit_span(signature_factors(self.alg, s), samples, dim)
+            self._bases[s] = rows
+            self.spans[s] = SpanRecord(len(samples), *gap)
         return self._bases[s]
 
     def dim(self, s: Sequence[int]) -> int:
-        return len(self.basis(s))
+        return dim_Ps(s, self.alg)
 
     def project(self, f: SparsePolynomial, s: Sequence[int]) -> SparsePolynomial:
         s = tuple(int(v) for v in s)
@@ -343,19 +330,29 @@ def projector(alg: AlgebraDescriptor) -> PsProjector:
     return _PROJECTORS[alg]
 
 
-def project_Ps(f: SparsePolynomial, s: Sequence[int],
-               cache: PsProjector) -> SparsePolynomial:
-    return cache.project(f, s)
-
-
 def dim_Ps(s: Sequence[int], alg: AlgebraDescriptor) -> int:
-    return projector(alg).dim(s)
+    """dim P_s in closed form (Faraut-Koranyi 1990; Upmeier).
 
-
-def dim_Ps_rank1(alg: AlgebraDescriptor, k: int) -> int:
-    """Monomial count: homogeneous degree k on a rank-1 chart."""
-    d = alg.dim_m + alg.siegel_n
-    return comb(d + k - 1, k)
+    herm_complex(p, q), the ball included, is M_(p x q) under U(p) x U(q),
+    so d_s is the product of the U(p) and U(q) Weyl dimensions of s padded
+    with zeros. Every other family is a tube with Peirce multiplicity a:
+    d_s = prod_(i<j) (s_i - s_j + a(j-i)/2) / (a(j-i)/2)
+          * (a(j-i+1)/2)_(s_i-s_j) / (1 + a(j-i-1)/2)_(s_i-s_j).
+    """
+    s = wallach._check_signature(s, alg.rank)
+    if alg.family == "herm_complex":
+        out = Fraction(1)
+        for n in (alg.size, alg.cols):
+            lam = s + (0,) * (n - alg.rank)
+            out *= prod(Fraction(lam[i] - lam[j] + j - i, j - i)
+                        for i, j in combinations(range(n), 2))
+        return int(out)
+    half = Fraction(alg.peirce_a, 2)
+    out = Fraction(1)
+    for i, j in combinations(range(alg.rank), 2):
+        k, h = s[i] - s[j], half * (j - i)
+        out *= (k + h) / h * prod((h + half + t) / (1 + h - half + t) for t in range(k))
+    return int(out)
 
 
 # ---------------------------------------------------------------------------

@@ -210,43 +210,52 @@ def _samples(alg, seed, n=400):
 
 
 def test_orbit_span_ball_linear():
-    rows = fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)], _samples(BALL2, 1))
+    rows, _ = fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)],
+                                 _samples(BALL2, 1), 2)
     assert len(rows) == 2
 
 
 def test_orbit_span_constant():
-    rows = fischer.orbit_span([(SparsePolynomial.constant(2, 3.0), 1)],
-                              _samples(BALL2, 2))
+    rows, _ = fischer.orbit_span([(SparsePolynomial.constant(2, 3.0), 1)],
+                                 _samples(BALL2, 2), 1)
     assert rows.shape == (1, 1)
     assert rows[0, 0] == pytest.approx(1.0)
 
 
 def test_orbit_span_determinant_line():
     # Delta_2 spans a one-dimensional space: K moves it by a character
-    rows = fischer.orbit_span(fischer.signature_factors(SR2, (1, 1)), _samples(SR2, 3))
+    rows, _ = fischer.orbit_span(fischer.signature_factors(SR2, (1, 1)),
+                                 _samples(SR2, 3), 1)
     assert len(rows) == 1
 
 
 def test_orbit_span_needs_samples():
     with pytest.raises(ValueError):
-        fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)], [])
+        fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)], [], 2)
 
 
 def test_orbit_span_reports_rank_on_failure():
+    # dim P_(2,0) on sym_real(2) is 5; a wrong dim raises with the spectrum
     factors = fischer.signature_factors(SR2, (2, 0))
-    with pytest.raises(RuntimeError, match="last ranks"):
-        fischer.orbit_span(factors, _samples(SR2, 4, n=64), max_batches=2)
+    for dim in (4, 6):
+        with pytest.raises(RuntimeError, match="orbit rank 5 is not dim .*singular values"):
+            fischer.orbit_span(factors, _samples(SR2, 4, n=16), dim)
 
 
 def test_orbit_basis_is_orthonormal():
-    rows = fischer.orbit_span(fischer.signature_factors(SR2, (2, 1)), _samples(SR2, 5))
+    s = (2, 1)
+    rows, _ = fischer.orbit_span(fischer.signature_factors(SR2, s), _samples(SR2, 5),
+                                 fischer.dim_Ps(s, SR2))
     assert np.linalg.norm(rows @ rows.conj().T - np.eye(len(rows))) < 1e-10
 
 
-@pytest.mark.parametrize("alg,top", [
+COMPOSED_FAMILIES = [
     (SR2, 6), (eja.sym_real(3), 4), (eja.herm_complex(2, 2), 5), (HC23, 4),
     (HQ2, 4), (SP4, 6), (eja.spin_factor(5), 5),
-], ids=str)
+]
+
+
+@pytest.mark.parametrize("alg,top", COMPOSED_FAMILIES, ids=str)
 def test_composed_rows_match_compose_linear(alg, top):
     # the dense batch route against the dictionary route, row by row
     rng = np.random.default_rng(61)
@@ -262,6 +271,20 @@ def test_composed_rows_match_compose_linear(alg, top):
             assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("alg,top", COMPOSED_FAMILIES, ids=str)
+def test_projector_bases_have_closed_form_dim(alg, top):
+    # one SVD of dim + MARGIN samples per basis, orthonormal rows, a clear gap
+    P = fischer.projector(alg)
+    for s in wallach.enumerate_signatures(alg.rank, top):
+        rows = P.basis(s)
+        dim = fischer.dim_Ps(s, alg)
+        assert len(rows) == dim
+        assert np.linalg.norm(rows @ rows.conj().T - np.eye(dim)) < 1e-10
+        span = P.spans[s]
+        assert span.samples == dim + fischer.MARGIN
+        assert span.sv_next < fischer.RANK_TOL < span.sv_dim
+
+
 # ---------------------------------------------------------------------------
 # P_s dimensions and projections
 # ---------------------------------------------------------------------------
@@ -271,12 +294,26 @@ def test_dim_ball_monomial_count():
         n = alg.dim_m + alg.siegel_n
         for k in range(5):
             assert fischer.dim_Ps((k,), alg) == comb(n + k - 1, k)
-            assert fischer.dim_Ps_rank1(alg, k) == comb(n + k - 1, k)
 
 
 def test_dim_zero_signature():
     for alg in [BALL2, SR2, SP4, HQ2]:
         assert fischer.dim_Ps((0,) * alg.rank, alg) == 1
+
+
+@pytest.mark.parametrize("alg,top", [
+    (eja.sym_real(1), 8), (SR2, 8), (eja.sym_real(3), 4), (eja.herm_complex(2, 2), 8),
+    (HC23, 8), (eja.herm_complex(3, 3), 4), (BALL2, 8), (HQ2, 8),
+    (eja.herm_quaternion(3), 4), (SP4, 8), (eja.spin_factor(5), 8),
+    (eja.spin_factor(7), 8),
+], ids=str)
+def test_dim_schmid_decomposition(alg, top):
+    # the P_s of degree d split the homogeneous polynomials of degree d
+    n = alg.zdim
+    for d in range(top + 1):
+        dims = [fischer.dim_Ps(s, alg)
+                for s in wallach.enumerate_signatures(alg.rank, d) if sum(s) == d]
+        assert sum(dims) == comb(n + d - 1, d)
 
 
 def test_dim_bookkeeping_symreal2():
@@ -308,7 +345,7 @@ def test_project_fixes_generator():
     P = fischer.projector(SR2)
     for s in [(2, 1), (3, 0)]:
         gen = fischer.delta_power_poly(SR2, s)
-        out = fischer.project_Ps(gen, s, P)
+        out = P.project(gen, s)
         assert fischer.fischer_norm(out - gen) < 1e-8 * fischer.fischer_norm(gen)
 
 
