@@ -51,7 +51,6 @@ class RunConfig:
     lams: tuple = ()
     trials: int = 500
     trunc: int = 0
-    tolerance: float = 1e-8
     samples: int = 50000
     realization: str = "bounded"
     seed: int = None
@@ -65,8 +64,6 @@ class RunConfig:
             raise click.UsageError("counts must be positive")
         if self.trunc < 0:
             raise click.UsageError("truncation must be non-negative")
-        if not (0.0 < self.tolerance < 1.0):
-            raise click.UsageError("tolerance must sit in (0, 1)")
 
     def echo(self) -> dict:
         d = {k: v for k, v in self.__dict__.items() if v not in (None, "", 0, ())}
@@ -219,7 +216,6 @@ _common = [
     click.option("--trials", default=500, show_default=True, type=int),
     click.option("--trunc", default=0, type=int,
                  help="series truncation degree (0 = family default)"),
-    click.option("--tolerance", default=1e-8, show_default=True, type=float),
     click.option("--samples", default=50000, show_default=True, type=int),
     click.option("--realization", default="bounded", show_default=True,
                  type=click.Choice(["bounded", "siegel"])),
@@ -321,7 +317,8 @@ _ZOO = (eja.sym_real(2), eja.sym_real(3), eja.herm_complex(1, 1),
         eja.herm_quaternion(2), eja.spin_factor(4), eja.spin_factor(5))
 
 
-def _rand_affine(alg, rng, spread=0.5):
+def _rand_affine(alg, rng):
+    spread = 0.5  # scale of the Heisenberg and triangular parameters
     zeta0 = None
     if alg.siegel_n:
         shape = (alg.size, alg.cols - alg.size)

@@ -32,6 +32,7 @@ from .eja import AlgebraDescriptor, Element
 from .poly import SparsePolynomial, det_poly, pfaffian_poly
 
 CONE_TOL = 1e-12
+_PATH_MAX_STEPS = 4096  # accepted and halved steps of the branch continuation
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def log_delta_j(x: Element, j: int) -> complex:
     return complex(L / b)
 
 
-def _log_delta_j_path(x: Element, j: int, max_steps: int = 4096) -> complex:
+def _log_delta_j_path(x: Element, j: int) -> complex:
     """Adaptive continuation of log Delta_j from the anchor x + e.
 
     Needs Re x in the closed cone and Delta_j(x) != 0; the straight path
@@ -214,7 +215,7 @@ def _log_delta_j_path(x: Element, j: int, max_steps: int = 4096) -> complex:
         raise ValueError("minor vanishes at the path endpoint")
     t, step, steps = 0.0, 0.25, 0
     while t < 1.0:
-        if steps > max_steps:
+        if steps > _PATH_MAX_STEPS:
             raise RuntimeError("branch continuation did not converge")
         steps += 1
         tn = min(1.0, t + step)

@@ -37,6 +37,22 @@ BOUNDARY_TOL = 1e-12
 # points
 # ---------------------------------------------------------------------------
 
+def _halfspace_block(alg: AlgebraDescriptor, zeta) -> Optional[np.ndarray]:
+    """zeta as the (p, q - p) half-space block of herm_complex(p, q > p),
+    zero when not given; None for every other family, which has no block."""
+    if not alg.siegel_n:
+        if zeta is not None and np.asarray(zeta).size:
+            raise ValueError("tube-type domains carry no half-space block")
+        return None
+    want = (alg.size, alg.cols - alg.size)
+    if zeta is None:
+        return np.zeros(want, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
+    if zeta.shape != want:
+        raise ValueError("half-space block has the wrong shape")
+    return zeta
+
+
 @dataclass
 class BoundedPoint:
     alg: AlgebraDescriptor
@@ -46,18 +62,7 @@ class BoundedPoint:
     def __post_init__(self):
         if self.z1.alg != self.alg:
             raise ValueError("element does not belong to the stated algebra")
-        if self.alg.siegel_n:
-            if self.zeta is None:
-                self.zeta = np.zeros(
-                    (self.alg.size, self.alg.cols - self.alg.size), dtype=complex)
-            self.zeta = np.asarray(self.zeta, dtype=complex)
-            want = (self.alg.size, self.alg.cols - self.alg.size)
-            if self.zeta.shape != want:
-                raise ValueError("half-space block has the wrong shape")
-        elif self.zeta is not None and np.asarray(self.zeta).size:
-            raise ValueError("tube-type domains carry no half-space block")
-        else:
-            self.zeta = None
+        self.zeta = _halfspace_block(self.alg, self.zeta)
 
     def full_matrix(self) -> np.ndarray:
         """Embedded picture; for herm_complex the full p x q matrix."""
@@ -92,18 +97,7 @@ class SiegelPoint:
         if self.z.alg != self.alg:
             raise ValueError("element does not belong to the stated algebra")
         self.z = self.z.as_complex()
-        if self.alg.siegel_n:
-            if self.zeta is None:
-                self.zeta = np.zeros(
-                    (self.alg.size, self.alg.cols - self.alg.size), dtype=complex)
-            self.zeta = np.asarray(self.zeta, dtype=complex)
-            want = (self.alg.size, self.alg.cols - self.alg.size)
-            if self.zeta.shape != want:
-                raise ValueError("half-space block has the wrong shape")
-        elif self.zeta is not None and np.asarray(self.zeta).size:
-            raise ValueError("tube-type domains carry no half-space block")
-        else:
-            self.zeta = None
+        self.zeta = _halfspace_block(self.alg, self.zeta)
 
 
 def siegel_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> SiegelPoint:
@@ -142,16 +136,9 @@ def in_bounded_domain(p: BoundedPoint, tol: float = BOUNDARY_TOL) -> bool:
 
 def phi_form(alg: AlgebraDescriptor, zeta, zeta2) -> Element:
     """Phi(zeta, zeta') = 2{zeta, zeta', e}: linear left, conjugate right."""
-    if not alg.siegel_n:
-        if (zeta is not None and np.asarray(zeta).size) or (
-                zeta2 is not None and np.asarray(zeta2).size):
-            raise ValueError("tube-type domains carry no half-space block")
+    zeta, zeta2 = _halfspace_block(alg, zeta), _halfspace_block(alg, zeta2)
+    if zeta is None:
         return Element(alg, np.zeros(alg.dim_m, dtype=complex))
-    zeta = np.asarray(zeta, dtype=complex)
-    zeta2 = np.asarray(zeta2, dtype=complex)
-    want = (alg.size, alg.cols - alg.size)
-    if zeta.shape != want or zeta2.shape != want:
-        raise ValueError("half-space block has the wrong shape")
     return eja.unembed_matrix(alg, zeta @ zeta2.conj().T)
 
 
@@ -344,10 +331,15 @@ def mobius_sample(alg: AlgebraDescriptor, rng: np.random.Generator) -> MobiusMap
         b = 0.8 * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
         if np.linalg.norm(b) < 0.8:
             break
-    G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return MobiusMap(alg, b, _haar_unitary(d, rng))
+
+
+def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar element of U(n): QR of a complex Gaussian, phases fixed by R."""
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     Q, R = np.linalg.qr(G)
-    U = Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
-    return MobiusMap(alg, b, U)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
 
 
 def _ball_involution(b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -393,13 +385,7 @@ class AffineMap:
     def __post_init__(self):
         if not self.x0.is_real:
             raise ValueError("the translation part lives in the real form")
-        if self.alg.siegel_n:
-            self.zeta0 = np.asarray(self.zeta0, dtype=complex)
-            want = (self.alg.size, self.alg.cols - self.alg.size)
-            if self.zeta0.shape != want:
-                raise ValueError("half-space block has the wrong shape")
-        else:
-            self.zeta0 = None
+        self.zeta0 = _halfspace_block(self.alg, self.zeta0)
 
 
 def heisenberg_apply(alg, zeta0, x0: Element, p: SiegelPoint) -> SiegelPoint:

@@ -74,13 +74,6 @@ class KSample:
     matrix: np.ndarray
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(G)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
-
-
 def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     G = rng.normal(size=(n, n))
     Q, R = np.linalg.qr(G)
@@ -130,8 +123,8 @@ def haar_sample_K(alg: AlgebraDescriptor, rng: np.random.Generator) -> KSample:
         # Z -> u Z v*, which is kron(u, conj v) on row-major entries; the
         # chart lists the z1 block first, then the half-space block
         p, q = alg.size, alg.cols
-        u = _haar_unitary(p, rng)
-        v = _haar_unitary(q, rng)
+        u = domains._haar_unitary(p, rng)
+        v = domains._haar_unitary(q, rng)
         K = u[:, None, :, None] * v.conj()[None, :, None, :]  # [i, j, k, l]
         cols = np.concatenate([K[..., :p].reshape(p, q, -1),
                                K[..., p:].reshape(p, q, -1)], axis=2)

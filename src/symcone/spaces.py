@@ -689,74 +689,44 @@ def u_lambda_affine(f: HolFunction, phi: AffineMap, lam: float) -> HolFunction:
 # ---------------------------------------------------------------------------
 # intertwining on the disc: exact series manipulation
 # ---------------------------------------------------------------------------
+# A series in eps truncated at eps^order is its coefficient array a[0..order]:
+# a product is a convolution cut at order, and f(x(eps)) for a polynomial f is
+# Horner's rule on f's coefficient array. Every power b = a^alpha, whether the
+# inverse, an integer or a fractional exponent, solves a b' = alpha a' b,
+# which fixes b_k from b_0..b_(k-1) once b_0 = a_0^alpha is chosen; the branch
+# enters only through b_0, so one recurrence covers every real exponent.
 
-def _ser(coef: Sequence[complex]) -> SparsePolynomial:
-    return SparsePolynomial(1, {(k,): c for k, c in enumerate(coef)})
-
-
-def _ser_mul(a, b, order):
-    return (a * b).truncate(order)
-
-
-def _ser_inverse(a: SparsePolynomial, order: int) -> SparsePolynomial:
-    c0 = a.coeffs.get((0,), 0.0)
-    if abs(c0) < 1e-300:
-        raise ValueError("series has no inverse at 0")
-    u = (SparsePolynomial.constant(1, 1.0) - a * (1.0 / c0)).truncate(order)
-    out = SparsePolynomial.constant(1, 1.0)
-    term = SparsePolynomial.constant(1, 1.0)
-    for _ in range(order):
-        term = _ser_mul(term, u, order)
-        if not term.coeffs:
-            break
-        out = out + term
-    return out * (1.0 / c0)
+def _ser_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    return np.convolve(a, b)[: order + 1]
 
 
-def _ser_pow(a: SparsePolynomial, n: float, order: int) -> SparsePolynomial:
-    """a(eps)^n with a(0) != 0: principal branch on the constant term."""
-    if n == int(n) and n >= 0:
-        out = SparsePolynomial.constant(1, 1.0)
-        for _ in range(int(n)):
-            out = _ser_mul(out, a, order)
-        return out
-    if n == int(n):
-        return _ser_pow(_ser_inverse(a, order), -n, order)
-    c0 = complex(a.coeffs.get((0,), 0.0))
-    v = a * (1.0 / c0) - 1.0
-    # exp(n log(1 + v)) with exact truncated series
-    logs = SparsePolynomial.zero(1)
-    term = SparsePolynomial.constant(1, 1.0)
+def _ser_pow(a: np.ndarray, alpha: float, order: int) -> np.ndarray:
+    """a(eps)^alpha with a(0) != 0, principal branch of a(0)^alpha.
+
+    k a_0 b_k = sum_(j=1..k) ((alpha + 1) j - k) a_j b_(k-j) (Knuth, TAOCP
+    Vol. 2, 4.7).
+    """
+    a0 = complex(a[0])
+    if a0 == 0:
+        raise ValueError("series has no power at 0")
+    a = np.append(a, np.zeros(order))[: order + 1]
+    b = np.zeros(order + 1, dtype=complex)
+    b[0] = a0 ** alpha
     for k in range(1, order + 1):
-        term = _ser_mul(term, v, order)
-        if not term.coeffs:
-            break
-        logs = logs + ((-1.0) ** (k + 1) / k) * term
-    w = logs * n
-    out = SparsePolynomial.constant(1, 1.0)
-    term = SparsePolynomial.constant(1, 1.0)
-    for k in range(1, order + 1):
-        term = _ser_mul(term, w, order) * (1.0 / k)
-        if not term.coeffs:
-            break
-        out = out + term
-    return out * (c0 ** n)
+        j = np.arange(1, k + 1)
+        b[k] = np.dot(((alpha + 1) * j - k) * a[1: k + 1], b[k - 1:: -1]) / (k * a0)
+    return b
 
 
-def _ser_compose_poly(f: SparsePolynomial, w0: complex,
-                      delta: SparsePolynomial, order: int) -> SparsePolynomial:
-    """Series of f(w0 + delta(eps)) for a one-variable polynomial f."""
-    out = SparsePolynomial.constant(1, complex(f.eval(np.array([w0]))))
-    dpow = SparsePolynomial.constant(1, 1.0)
-    der = f
-    fact = 1.0
-    for j in range(1, f.degree() + 1):
-        der = der.derivative(0)
-        fact *= j
-        dpow = _ser_mul(dpow, delta, order)
-        if not dpow.coeffs:
-            break
-        out = out + (complex(der.eval(np.array([w0]))) / fact) * dpow
+def _ser_compose(f: SparsePolynomial, x: np.ndarray, order: int) -> np.ndarray:
+    """f(x(eps)) for a one-variable polynomial f, by Horner's rule."""
+    coef = np.zeros(f.degree() + 1, dtype=complex)
+    for (k,), c in f.coeffs.items():
+        coef[k] = c
+    out = np.zeros(order + 1, dtype=complex)
+    for c in coef[::-1]:
+        out = _ser_mul(out, x, order)
+        out[0] += c
     return out
 
 
@@ -769,13 +739,10 @@ def _disc_phi_series(phi: MobiusMap, z0: complex, order: int):
     """phi(z0 + eps), sqrt(phi') (z0 + eps) as exact truncated series."""
     u, b = _mobius_scalar(phi)
     bb = np.conj(b)
-    A = _ser([u * (b - z0), -u])
-    B = _ser([1.0 - bb * z0, -bb])
-    Binv = _ser_inverse(B, order)
-    phi_series = _ser_mul(A, Binv, order)
+    Binv = _ser_pow(np.array([1.0 - bb * z0, -bb]), -1.0, order)
+    phi_series = _ser_mul(np.array([u * (b - z0), -u]), Binv, order)
     sq = np.sqrt(complex(-u * (1.0 - abs(b) ** 2)))
-    s_series = Binv * sq  # squares to phi'
-    return phi_series, s_series
+    return phi_series, Binv * sq  # the second squares to phi'
 
 
 def intertwine_check_disc(phi: MobiusMap, f: SparsePolynomial, lam: int,
@@ -789,21 +756,13 @@ def intertwine_check_disc(phi: MobiusMap, f: SparsePolynomial, lam: int,
         raise ValueError("the derivative identity needs lambda in {0, -1, ...}")
     lam = int(lam)
     n = 1 - lam
-    order = n + 1
-    fd = f
-    for _ in range(n):
-        fd = fd.derivative(0)
     worst = 0.0
     for z0 in test_points:
-        phis, ss = _disc_phi_series(phi, complex(z0), order)
-        w0 = phis.coeffs.get((0,), 0.0)
-        delta = phis - w0
-        comp = _ser_compose_poly(f, w0, delta, order)
-        lhs_series = _ser_mul(comp, _ser_pow(ss, lam, order), order)
-        lhs = lhs_series.coeffs.get((n,), 0.0) * math.factorial(n)
-        s0 = ss.coeffs.get((0,), 0.0)
-        rhs = complex(fd.eval(np.array([w0]))) * s0 ** (2 - lam)
-        worst = max(worst, abs(lhs - rhs))
+        phis, ss = _disc_phi_series(phi, complex(z0), n)
+        lhs = _ser_mul(_ser_compose(f, phis, n), _ser_pow(ss, lam, n), n)[n]
+        # f(w0 + eps) at w0 = phi(z0): its eps^n coefficient is f^(n)(w0) / n!
+        rhs = _ser_compose(f, np.array([phis[0], 1.0]), n)[n] * ss[0] ** (2 - lam)
+        worst = max(worst, math.factorial(n) * abs(lhs - rhs))
     return worst
 
 
@@ -811,9 +770,8 @@ def u_lambda_disc_taylor(phi: MobiusMap, f: SparsePolynomial, lam: float,
                          order: int) -> SparsePolynomial:
     """Taylor polynomial at 0 of (f о phi) (phi')^(lambda/2), exact series."""
     phis, ss = _disc_phi_series(phi, 0.0, order)
-    w0 = phis.coeffs.get((0,), 0.0)
-    comp = _ser_compose_poly(f, w0, phis - w0, order)
-    return _ser_mul(comp, _ser_pow(ss, float(lam), order), order)
+    series = _ser_mul(_ser_compose(f, phis, order), _ser_pow(ss, lam, order), order)
+    return SparsePolynomial(1, {(k,): c for k, c in enumerate(series)})
 
 
 # ---------------------------------------------------------------------------

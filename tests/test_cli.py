@@ -115,9 +115,6 @@ def test_counts_must_be_positive(runner):
     res = runner.invoke(main, ["wallach", "--lambda", "0", "--seed", "1",
                                "--trials", "0"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["verify", "algebra", "--seed", "1",
-                               "--tolerance", "1.5"])
-    assert res.exit_code == 2
 
 
 # -- verify ------------------------------------------------------------------

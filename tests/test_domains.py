@@ -146,6 +146,10 @@ def test_tube_types_reject_halfspace_blocks():
         BoundedPoint(eja.spin_factor(4),
                      Element(eja.spin_factor(4), np.zeros(4, dtype=complex)),
                      np.array([[1.0]]))
+    sr2 = eja.sym_real(2)
+    with pytest.raises(ValueError):
+        domains.AffineMap(sr2, np.array([[1.0], [0.0]]), Element(sr2, np.zeros(3)),
+                          domains._triangular_from_params(sr2, np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------

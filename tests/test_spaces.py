@@ -535,15 +535,31 @@ def test_intertwine_disc_needs_nonpositive_integer():
 
 def test_mobius_series_isometry():
     # order 100 leaves the |b| <= 0.8 truncation tail below 1e-7
-    lam = 2.0
     rng = np.random.default_rng(16)
     f = SparsePolynomial(1, {(0,): 1.0, (1,): 1.0, (3,): 0.5})
-    base = spaces.h_lambda_norm_sq(f, lam, DISC, 100)[0]
-    for _ in range(4):
-        phi = domains.mobius_sample(DISC, rng)
-        uf = spaces.u_lambda_disc_taylor(phi, f, lam, 100)
-        moved = spaces.h_lambda_norm_sq(uf, lam, DISC, 100)[0]
-        assert moved == pytest.approx(base, rel=1e-6)
+    maps = [domains.mobius_sample(DISC, rng) for _ in range(4)]
+    maps.append(domains.MobiusMap(DISC, np.array([0.8 * np.exp(0.7j)]),
+                                  np.array([[np.exp(0.3j)]])))
+    for lam in (0.5, 2.0, 3.7):
+        base = spaces.h_lambda_norm_sq(f, lam, DISC, 100)[0]
+        for phi in maps:
+            uf = spaces.u_lambda_disc_taylor(phi, f, lam, 100)
+            moved = spaces.h_lambda_norm_sq(uf, lam, DISC, 100)[0]
+            assert moved == pytest.approx(base, rel=1e-6)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
+def test_mobius_series_of_one_is_closed_form(lam):
+    # U_lam 1 = (phi')^(lam/2) = c0^lam (1 - conj(b) z)^(-lam), so its Taylor
+    # coefficients are c0^lam (lam)_k conj(b)^k / k!
+    b, u = 0.8 * np.exp(0.7j), np.exp(0.3j)
+    phi = domains.MobiusMap(DISC, np.array([b]), np.array([[u]]))
+    uf = spaces.u_lambda_disc_taylor(phi, SparsePolynomial.constant(1, 1.0), lam, 100)
+    want = [complex(np.sqrt(-u * (1.0 - abs(b) ** 2))) ** lam]
+    for k in range(1, 101):
+        want.append(want[-1] * (lam + k - 1) / k * np.conj(b))
+    got = np.array([uf.coeffs.get((k,), 0.0) for k in range(101)])
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
