@@ -570,14 +570,13 @@ def suite_bergman(cfg, rng):
     out.append(check("bergman/monomial-ratio", abs(n1 ** 2 / nz ** 2 - 3.0), 0.15,
                      {"lambda": 3.0, "samples": cfg.samples}, "(lambda)_1 = 3"))
     sr2 = eja.sym_real(2)
-    cfg_s = domains.SiegelSamplerConfig(cauchy_x=True)
     ratios = []
     for p in (SparsePolynomial.constant(3, 1.0), SparsePolynomial.variable(3, 1),
               _rand_poly(3, 2, rng)):
         fb = spaces.poly_function(sr2, p)
         fs = spaces.transport_to_siegel(fb, 4.0)
         est, _ = spaces.bergman_norm_mc(fs, 4.0, sr2, cfg.samples, rng,
-                                        realization="siegel", config=cfg_s)
+                                        realization="siegel")
         ratios.append(est ** 2 / spaces.h_lambda_norm_sq(p, 4.0, sr2, 8)[0])
     mid = float(np.median(ratios))
     spread = max(abs(r / mid - 1.0) for r in ratios)

@@ -14,14 +14,18 @@ for the matrix families, a 2 x 2 closed form for the rank-2 spin factor.
 They lie in the unit disc, so the branch is the continuous one.
 
 Points travel as stacks of chart vectors (spaces.point_vector per row) where
-Monte Carlo needs many: sample_siegel_batch draws the Siegel proposal for
-every family as arrays, with its exact log density and log Delta of the
-defect, and inverse_cayley_rows maps tube points back to the bounded side.
+Monte Carlo needs many: sample_weighted_bounded draws exactly from
+h(z, z)^(lambda - g) dm over its mass bergman_constant, in polar
+coordinates; cayley_rows carries such rows to the Siegel side with the real
+Jacobian of the map, siegel_log_delta_rows gives log Delta of their defect,
+and inverse_cayley_rows maps tube points back. sample_siegel_batch draws the
+Siegel proposal of the Gram search as arrays, with its exact log density.
 bounded_from_vector and siegel_from_vector turn one row into a point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -203,26 +207,48 @@ def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
     return BoundedPoint(alg, z1, None)
 
 
-def inverse_cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
-    """inverse_cayley on a stack of tube-family z-chart rows w, as z-chart
-    rows, with log Delta((w + ie)/2i) on the continuous branch.
+def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
+    """(u^(-1), Delta(u)) on a stack of z-chart rows; the inverse is taken
+    of the Z_1 part, Delta by the top minor polynomial.
 
-    z = e - 2i u^(-1) for u = w + ie. Rank 2 takes u^(-1) = (tr(u) e - u) /
-    Delta(u) and the principal log of Delta(u / 2i), as cones.log_delta_j
-    does. Other ranks invert the complex picture and sum the principal logs
-    of the eigenvalues of u / 2i, which lie in the right half-plane (the
-    hermitian part (Im w + e)/2 is positive), divided by the block size.
+    u^(-1) is e / Delta(u) at rank 1 and (tr(u) e - u) / Delta(u) at rank 2,
+    with tr(u) = <u, e> (e's coordinates sit where the trace weights are 1);
+    other ranks invert the matrix picture.
     """
     chart = eja._chart(alg)
     e = eja.identity(alg)
     ez = eja.to_zchart(e)
-    U = np.asarray(V, dtype=complex) + 1j * ez
+    det = cones.minor_polynomials(alg)[-1].eval(U)
+    X = U[:, : alg.dim_m]
+    if alg.rank == 1:
+        return ez * (1.0 / det)[:, None], det
     if alg.rank == 2:
-        det = cones.minor_polynomials(alg)[1].eval(U)
-        # tr(u) = <u, e>: e's coordinates sit where the trace weights are 1
-        tr = U @ (chart["from_z"] @ e.coords)
-        inv = (tr[:, None] * ez - U) / det[:, None]
-        return ez - 2j * inv, np.log(det / (2j) ** 2)
+        tr = X @ (chart["from_z"] @ e.coords)
+        return (tr[:, None] * ez - X) * (1.0 / det)[:, None], det
+    M = (X @ chart["from_z"] @ chart["embed"]).reshape(-1, chart["n"], chart["n"])
+    inv = np.linalg.inv(M).reshape(len(X), -1) @ chart["unembed"] @ chart["to_z"]
+    return inv, det
+
+
+def inverse_cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
+    """inverse_cayley on a stack of tube-family z-chart rows w, as z-chart
+    rows, with log Delta((w + ie)/2i) on the continuous branch.
+
+    z = e - 2i u^(-1) for u = w + ie. Ranks 1 and 2 take the principal log
+    of Delta(u / 2i), as cones.log_delta_j does. Other ranks sum the
+    principal logs of the eigenvalues of u / 2i, which lie in the right
+    half-plane (the hermitian part (Im w + e)/2 is positive), divided by the
+    block size.
+    """
+    ez = eja.to_zchart(eja.identity(alg))
+    U = np.asarray(V, dtype=complex) + 1j * ez
+    if alg.rank <= 2:
+        inv, det = _jordan_inverse_rows(alg, U)
+        # the principal log as log|x| + i arg x: real ufuncs are several
+        # times faster than numpy's complex log
+        x = det / (2j) ** alg.rank
+        return ez - 2j * inv, np.log(np.abs(x)) + 1j * np.angle(x)
+    chart = eja._chart(alg)
     M = (U @ chart["from_z"] @ chart["embed"]).reshape(-1, chart["n"], chart["n"])
     inv = np.linalg.inv(M).reshape(len(U), -1) @ chart["unembed"] @ chart["to_z"]
     logdet = np.log(np.linalg.eigvals(M / 2j)).sum(axis=1) / eja._block_size(alg)
@@ -464,12 +490,6 @@ def sample_bounded(alg: AlgebraDescriptor, rng: np.random.Generator):
             return p
 
 
-def disc_rejection_rate(rng: np.random.Generator, n: int) -> float:
-    """Vectorized acceptance frequency for the disc box sampler."""
-    z = rng.uniform(-1, 1, size=n) + 1j * rng.uniform(-1, 1, size=n)
-    return float(np.mean(np.abs(z) < 1.0))
-
-
 @dataclass
 class SiegelSamplerConfig:
     sigma_zeta: float = 1.0
@@ -650,3 +670,196 @@ def sample_siegel(alg: AlgebraDescriptor, rng: np.random.Generator,
     Row 0 of sample_siegel_batch with n = 1."""
     V, logq, _ = sample_siegel_batch(alg, 1, rng, cfg)
     return siegel_from_vector(alg, V[0]), float(logq[0])
+
+
+# ---------------------------------------------------------------------------
+# exact weighted draws in polar coordinates, and their Cayley images
+# ---------------------------------------------------------------------------
+
+_MAX_PROPOSALS = 2 ** 17  # Jacobi-ensemble proposals drawn at once
+
+
+def bergman_constant(alg: AlgebraDescriptor, lam: float) -> float:
+    """c_lambda, the integral over D of h(z, z)^(lambda - g) in z-chart
+    Lebesgue measure: pi^d Gamma_Omega(lambda - d/r) / Gamma_Omega(lambda)
+    with d = zdim and Gamma_Omega(s) proportional to
+    prod_(j < r) Gamma(s - j a/2) (Faraut-Koranyi 1990; Hua). Finite for
+    lambda > g - 1."""
+    if lam <= alg.genus - 1:
+        raise ValueError("the weighted volume diverges at or below genus - 1")
+    d, r, a = alg.zdim, alg.rank, alg.peirce_a
+    return math.exp(d * math.log(math.pi) + sum(
+        math.lgamma(lam - d / r - j * a / 2.0) - math.lgamma(lam - j * a / 2.0)
+        for j in range(r)))
+
+
+def _jacobi_ensemble(alg: AlgebraDescriptor, lam: float, n: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """(n, r) draws u with density proportional to prod_(i<j) |u_i - u_j|^a
+    prod_j u_j^b (1 - u_j)^(lambda - g) on [0, 1)^r, b = siegel_n / r.
+
+    Rank 1: a Beta(b + 1, lambda - g + 1) draw, by its inverse CDF when
+    b = 0. Rank 2 with b = 0: s = 1 - u has density proportional to
+    |s_1 - s_2|^a (s_1 s_2)^(c - 1), c = lambda - g + 1, which in the larger
+    s_1 = M and the ratio x = s_2 / M factorizes as
+    M^(a + 2c - 1) x^(c - 1) (1 - x)^a, so both are drawn exactly (the rows
+    come sorted, which the Haar measure of K makes immaterial). Otherwise
+    each u_j is a Beta(b + 1, c) draw and a row is kept with probability
+    prod_(i<j) |u_i - u_j|^a, which is at most 1.
+    """
+    r, a, b = alg.rank, alg.peirce_a, alg.siegel_n // alg.rank
+    c = lam - alg.genus + 1.0
+
+    def beta(m: int) -> np.ndarray:
+        if b == 0:
+            return 1.0 - (1.0 - rng.uniform(size=(m, r))) ** (1.0 / c)
+        return rng.beta(b + 1.0, c, size=(m, r))
+
+    if r == 1:
+        return beta(n)
+    if r == 2 and b == 0:
+        M = (1.0 - rng.uniform(size=n)) ** (1.0 / (a + 2.0 * c))
+        x = rng.beta(c, a + 1.0, size=n)
+        return 1.0 - np.stack([M, M * x], axis=1)
+    i, j = np.triu_indices(r, k=1)
+    parts, have, tried = [], 0, 0
+    while have < n:
+        # enough proposals for the rest at the acceptance seen so far
+        m = min(int((n - have) * (tried + 1) / (have + 1) * 1.1) + 64,
+                _MAX_PROPOSALS)
+        U = beta(m)
+        keep = rng.uniform(size=m) < np.prod(np.abs(U[:, i] - U[:, j]),
+                                             axis=1) ** a
+        parts.append(U[keep])
+        have += len(parts[-1])
+        tried += m
+    return np.concatenate(parts)[:n]
+
+
+def _orthonormal_rows(G: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on the rows G[0], G[1], ... of a (k, d, n) stack, that
+    is on n frames of k vectors in C^d (or R^d), the sample index last so
+    that every step runs on contiguous length-n vectors. On a Gaussian stack
+    the frames are Haar distributed (for k = d, the unitary factor of an LQ
+    decomposition with positive diagonal), drawn without one LAPACK call
+    per matrix."""
+    Q = np.array(G)
+    for j in range(len(Q)):
+        for i in range(j):
+            Q[j] -= Q[i] * np.sum(Q[i].conj() * Q[j], axis=0)
+        Q[j] /= np.sqrt(np.sum((Q[j] * Q[j].conj()).real, axis=0))
+    return Q
+
+
+def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
+                rng: np.random.Generator) -> np.ndarray:
+    """z-chart rows of k . sum_j t_j c_j, one Haar k of the full K per row of
+    t (n, r).
+
+    Rank 1: K is transitive on each sphere of the ball. With Q a Haar frame
+    stack from _orthonormal_rows: sym_real Z = Q^T diag(t) Q (u Z u^T,
+    u in U(r)); herm_complex Z = U^T diag(t) V with V the first p rows of a
+    unitary of U(q) (U Z V*); herm_quaternion A = Q^T D Q with
+    D = J diag(t_j I_2), on the skew picture A = J H whose upper entries are
+    the chart (u A u^T, u in U(2r)); spin e^(i theta) O, O in SO(m), in the
+    unitary coordinates y with Delta = sum y^2 / 2 (u_0, u_1 =
+    (y_0 +- i y_1) / sqrt 2, u_k = i y_k), where the frame sum is
+    ((t_1 + t_2) e_0 - i (t_1 - t_2) e_1) / sqrt 2. Products run with the
+    sample index last.
+    """
+    n, r = t.shape
+    t = t.T
+
+    def cgauss(*shape):
+        return rng.standard_normal(size=shape + (2 * n,)).view(complex)
+
+    if r == 1:
+        G = cgauss(alg.zdim)
+        return (t[0] * G / np.sqrt(np.sum((G * G.conj()).real, axis=0))).T
+    if alg.family == "spin":
+        F = _orthonormal_rows(rng.normal(size=(2, alg.dim_m, n)))
+        ph = np.exp(2j * np.pi * rng.uniform(size=n)) * eja._ISQ2
+        y = ph * (F[0] * (t[0] + t[1]) - 1j * F[1] * (t[0] - t[1]))
+        u = 1j * y
+        u[0] = (y[0] + 1j * y[1]) * eja._ISQ2
+        u[1] = (y[0] - 1j * y[1]) * eja._ISQ2
+        return u.T
+    if alg.family == "herm_complex":
+        p = alg.size
+        U = _orthonormal_rows(cgauss(p, p))
+        V = _orthonormal_rows(cgauss(p, alg.cols))
+        Z = sum((U[j] * t[j])[:, None] * V[j][None] for j in range(p))
+        return np.concatenate([Z[:, :p].reshape(p * p, n),
+                               Z[:, p:].reshape(-1, n)]).T
+    if alg.family == "sym_real":
+        Q = _orthonormal_rows(cgauss(r, r))
+        a, b = np.triu_indices(r)
+        P = sum(t[j] * Q[j][a] * Q[j][b] for j in range(r))
+        # chart coordinates of the symmetric matrix from its upper entries
+        chart = eja._chart(alg)
+        un = chart["unembed"]
+        S = np.where((a == b)[:, None], un[a * r + b], un[a * r + b] + un[b * r + a])
+        return P.T @ (S @ chart["to_z"])
+    Q = _orthonormal_rows(cgauss(2 * r, 2 * r))
+    a, b = np.triu_indices(2 * r, k=1)
+    return sum(t[j] * (Q[2 * j][a] * Q[2 * j + 1][b]
+                       - Q[2 * j + 1][a] * Q[2 * j][b]) for j in range(r)).T
+
+
+def sample_weighted_bounded(alg: AlgebraDescriptor, lam: float, n: int,
+                            rng: np.random.Generator):
+    """n exact draws from c_lambda^(-1) h(z, z)^(lambda - g) dm (z-chart
+    Lebesgue measure, c_lambda = bergman_constant) as z-chart rows
+    (spaces.point_vector per row), and log h(z, z) of each.
+
+    Polar coordinates z = k . sum_j t_j c_j: u = t^2 from _jacobi_ensemble,
+    then k Haar in the full K (_polar_rows), and h(z, z) = prod_j (1 - u_j).
+    At lambda = g the rows are uniform on D.
+    """
+    if lam <= alg.genus - 1:
+        raise ValueError("the weighted volume diverges at or below genus - 1")
+    u = _jacobi_ensemble(alg, lam, n, rng)
+    return _polar_rows(alg, np.sqrt(u), rng), np.log1p(-u).sum(axis=1)
+
+
+def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
+    """cayley on a stack of bounded z-chart rows: Siegel rows
+    w = i (e + z)(e - z)^(-1) = 2i (e - z)^(-1) - ie, with
+    omega = (e - z)^(-1) zeta for herm_complex(p, q > p), and
+    log |det c'(z)|^2, the real Jacobian in z-chart coordinates.
+
+    c'(z) is 2i P((e - z)^(-1)) on Z_1, of determinant
+    (2i)^m Delta(e - z)^(-2m/r), times left multiplication by (e - z)^(-1)
+    on the half-space block, of determinant Delta(e - z)^(-(q - p)). Since
+    g = 2m/r + (q - p), |det c'(z)|^2 = 2^(2m) |Delta(e - z)|^(-2g) with
+    m = dim_m.
+    """
+    m = alg.dim_m
+    ez = eja.to_zchart(eja.identity(alg))
+    X = -np.asarray(V, dtype=complex)
+    X[:, :m] += ez
+    A, det = _jordan_inverse_rows(alg, X)
+    W = 2j * A - 1j * ez
+    if alg.siegel_n:
+        chart = eja._chart(alg)
+        p = alg.size
+        Am = (A @ chart["from_z"] @ chart["embed"]).reshape(-1, p, p)
+        zeta = np.asarray(V)[:, m:].reshape(len(X), p, -1)
+        W = np.concatenate([W, (Am @ zeta).reshape(len(X), -1)], axis=1)
+    return W, 2.0 * m * math.log(2.0) - 2.0 * alg.genus * np.log(np.abs(det))
+
+
+def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:
+    """log Delta(Im w - Phi(omega, omega)) on a stack of interior Siegel
+    z-chart rows (siegel_defect per row)."""
+    chart = eja._chart(alg)
+    m = alg.dim_m
+    W = np.asarray(W, dtype=complex)
+    Y = (W[:, :m] @ chart["from_z"]).imag
+    if alg.siegel_n:
+        om = W[:, m:].reshape(len(W), alg.size, -1)
+        OO = om @ om.conj().transpose(0, 2, 1)
+        Y = Y - (OO.reshape(len(W), -1) @ chart["unembed"]).real
+    U = np.zeros((len(W), alg.zdim), dtype=complex)
+    U[:, :m] = Y @ chart["to_z"]
+    return np.log(cones.minor_polynomials(alg)[-1].eval(U).real)

@@ -241,23 +241,34 @@ class SparsePolynomial:
         return self.eval(z)
 
     def eval(self, z) -> complex | np.ndarray:
-        """Evaluate at a point (shape (nvars,)) or a batch (shape (N, nvars))."""
+        """Evaluate at a point (shape (nvars,)) or a batch (shape (N, nvars)).
+
+        Each term starts from c times its first power; powers of a column
+        come by repeated squaring. A single point is evaluated in Python
+        complex arithmetic, which is cheaper than numpy on one element.
+        """
         z = np.asarray(z, dtype=complex)
         single = z.ndim == 1
-        if single:
-            z = z[None, :]
-        if z.shape[1] != self.nvars:
+        if z.shape[-1] != self.nvars:
             raise ValueError("point dimension mismatch")
+        if single:
+            zs = z.tolist()
+            total = 0j
+            for a, c in self.coeffs.items():
+                for x, k in zip(zs, a):
+                    if k:
+                        c = c * x ** k
+                total += c
+            return np.complex128(total)
         vals = np.zeros(z.shape[0], dtype=complex)
         for a, c in self.coeffs.items():
-            term = np.full(z.shape[0], c, dtype=complex)
+            term = None
             for i, k in enumerate(a):
-                if k == 1:
-                    term = term * z[:, i]
-                elif k > 1:
-                    term = term * z[:, i] ** k
-            vals += term
-        return vals[0] if single else vals
+                if k:
+                    p = _int_power(z[:, i], k)
+                    term = c * p if term is None else term * p
+            vals += c if term is None else term
+        return vals
 
     # -- misc -----------------------------------------------------------------
 
@@ -269,6 +280,18 @@ class SparsePolynomial:
             parts.append(f"{self.coeffs[a]:.3g}*z^{a}")
         more = "..." if len(self.coeffs) > 6 else ""
         return "SparsePolynomial(" + " + ".join(parts) + more + ")"
+
+
+def _int_power(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k for an integer k >= 1 by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
 
 
 @cache

@@ -513,9 +513,98 @@ def test_sample_bounded_is_interior():
             assert domains.in_bounded_domain(p)
 
 
-def test_disc_acceptance_rate():
-    rate = domains.disc_rejection_rate(np.random.default_rng(7), 1_000_000)
-    assert rate == pytest.approx(np.pi / 4.0, abs=0.02 * np.pi / 4.0)
+# every family the weighted draws and the Cayley rows cover: the tube
+# families, the ball and a rank-2 non-tube domain
+WEIGHTED = ALGS + [eja.herm_complex(1), eja.herm_complex(3), eja.herm_quaternion(3),
+                   eja.herm_complex(1, 3)]
+
+
+def test_weighted_draws_are_interior_with_their_log_h():
+    rng = np.random.default_rng(31)
+    for alg in WEIGHTED:
+        V, logh = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 6, rng)
+        assert V.shape == (6, alg.zdim)
+        for v, lh in zip(V, logh):
+            p = domains.bounded_from_vector(alg, v)
+            assert domains.in_bounded_domain(p), alg
+            h = domains.generic_norm(p, p)
+            assert abs(h.imag) < 1e-12
+            assert np.log(h.real) == pytest.approx(lh, abs=1e-10), alg
+
+
+def _siegel_vector(q):
+    v = eja.to_zchart(q.z)
+    return v if q.zeta is None else np.concatenate([v, q.zeta.ravel()])
+
+
+def test_cayley_rows_match_the_per_point_transform_and_its_jacobian():
+    # rows against cayley point by point, log Delta of the defect against
+    # cones.delta_j, and the closed-form |det c'(z)|^2 against the
+    # determinant of a central-difference complex Jacobian
+    rng = np.random.default_rng(32)
+    h = 1e-5
+    for alg in WEIGHTED:
+        V, _ = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 3, rng)
+        V = 0.8 * V
+        W, logjac = domains.cayley_rows(alg, V)
+        logdelta = domains.siegel_log_delta_rows(alg, W)
+        for v, w, lj, ld in zip(V, W, logjac, logdelta):
+            def c(x):
+                return _siegel_vector(domains.cayley(domains.bounded_from_vector(alg, x)))
+            q = domains.cayley(domains.bounded_from_vector(alg, v))
+            assert np.allclose(w, _siegel_vector(q), rtol=0, atol=1e-11), alg
+            want = cones.delta_j(domains.siegel_defect(q), alg.rank)
+            assert np.exp(ld) == pytest.approx(want, rel=1e-10), alg
+            eye = np.eye(alg.zdim)
+            J = np.array([(c(v + h * eye[k]) - c(v - h * eye[k])) / (2 * h)
+                          for k in range(alg.zdim)])
+            fd = abs(np.linalg.det(J)) ** 2
+            assert np.exp(lj) == pytest.approx(fd, rel=1e-6), alg
+
+
+class _CountingRng:
+    """A generator that counts its uniform calls; sample_bounded makes two
+    (real and imaginary parts) per box draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("alg,lam,n", [
+    (eja.herm_complex(1), 3.0, 5000),
+    (eja.herm_complex(1, 2), 4.5, 5000),
+    (eja.sym_real(2), 4.0, 1000),
+    (eja.herm_complex(2), 5.0, 1000),
+], ids=["disc", "ball", "sym_real2", "herm_complex2"])
+def test_bergman_constant_matches_box_rejection_mass(alg, lam, n):
+    # c_lambda against box volume x acceptance x mean h^(lambda - g) over
+    # the uniform points of the box sampler, within 5 standard errors
+    rng = _CountingRng(33)
+    hs = np.array([domains.generic_norm(p, p).real for p in
+                   (domains.sample_bounded(alg, rng) for _ in range(n))])
+    vals = hs ** (lam - alg.genus)
+    draws = rng.calls // 2
+    acc = n / draws
+    box = (2.0 * domains._BOX_SCALE[alg.family]) ** (2 * alg.zdim)
+    mass = box * acc * vals.mean()
+    rel_se = np.sqrt((1 - acc) / n + vals.var() / (n * vals.mean() ** 2))
+    assert mass / domains.bergman_constant(alg, lam) == pytest.approx(
+        1.0, abs=5 * rel_se)
+
+
+def test_bergman_constant_closed_forms():
+    # the disc and the ball: pi / (lambda - 1) and pi^2 / ((lambda - 1)(lambda - 2))
+    assert domains.bergman_constant(eja.herm_complex(1), 3.0) == pytest.approx(
+        np.pi / 2.0, rel=1e-14)
+    assert domains.bergman_constant(eja.herm_complex(1, 2), 4.5) == pytest.approx(
+        np.pi ** 2 / (3.5 * 2.5), rel=1e-14)
+    with pytest.raises(ValueError):
+        domains.bergman_constant(eja.sym_real(2), 2.0)
 
 
 def test_sample_siegel_density_consistency():

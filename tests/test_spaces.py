@@ -2,6 +2,7 @@
 estimators, and the intertwining checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,11 +286,13 @@ def test_h_tilde_dirichlet_quadrature_cross_check():
 # ---------------------------------------------------------------------------
 
 def test_bergman_disc_area():
+    # lambda = g: the draws are uniform on the disc and f = 1 has no
+    # variance, so the estimate is c_lambda = pi up to rounding, with se 0
     one = spaces.poly_function(DISC, SparsePolynomial.constant(1, 1.0))
     norm, se = spaces.bergman_norm_mc(one, 2.0, DISC, 100000,
                                       np.random.default_rng(4))
-    assert norm ** 2 == pytest.approx(np.pi, abs=8 * se * max(2 * norm, 1.0))
-    assert se < 0.01
+    assert norm ** 2 == pytest.approx(np.pi, rel=1e-14)
+    assert se == 0.0
 
 
 def test_bergman_disc_monomial_ratio():
@@ -322,7 +325,6 @@ def test_bergman_siegel_proportional_to_series():
     # multiple of the series norm on the bounded side
     lam = 4.0
     rng = np.random.default_rng(7)
-    cfg = domains.SiegelSamplerConfig(cauchy_x=True)
     ratios = []
     for p in (SparsePolynomial.constant(3, 1.0),
               SparsePolynomial.variable(3, 1),
@@ -330,11 +332,124 @@ def test_bergman_siegel_proportional_to_series():
         fb = spaces.poly_function(SR2, p)
         fs = spaces.transport_to_siegel(fb, lam)
         est, se = spaces.bergman_norm_mc(fs, lam, SR2, 150000, rng,
-                                         realization="siegel", config=cfg)
+                                         realization="siegel")
         series = spaces.h_lambda_norm_sq(p, lam, SR2, 8)[0]
         ratios.append(est ** 2 / series)
     mid = np.median(ratios)
     assert max(abs(r / mid - 1.0) for r in ratios) < 0.08
+
+
+TUBE_FAMILIES = [eja.herm_complex(1), eja.sym_real(2), eja.sym_real(3),
+                 eja.herm_complex(2), eja.herm_quaternion(2),
+                 eja.spin_factor(4), eja.spin_factor(5)]
+
+
+@pytest.mark.parametrize("alg", [
+    eja.sym_real(2), eja.sym_real(3), eja.herm_complex(2), BALL2,
+    eja.herm_complex(2, 3), eja.herm_quaternion(2), eja.spin_factor(4),
+    eja.spin_factor(5)], ids=str)
+def test_weighted_draws_reproduce_the_series_norm(alg):
+    # under the exact draws of c_lambda^(-1) h^(lambda - g) dm, E|f|^2 is the
+    # series norm ||f||^2_lambda; a partial K or a wrong radial law moves it
+    rng = np.random.default_rng(40)
+    for lam in (alg.genus - 0.5, alg.genus + 1.0):
+        f = rand_poly(alg.zdim, 2, rng)
+        V, _ = domains.sample_weighted_bounded(alg, lam, 40000, rng)
+        x = np.abs(f.eval(V)) ** 2
+        want = spaces.h_lambda_norm_sq(f, lam, alg, 2)[0]
+        assert abs(x.mean() - want) <= 5 * x.std() / math.sqrt(len(x)), lam
+
+
+@pytest.mark.parametrize("alg", TUBE_FAMILIES, ids=str)
+def test_siegel_estimate_is_the_bounded_one_times_two_to_twice_the_dimension(alg):
+    # the Siegel draws are the Cayley images of the bounded ones, and a
+    # transported polynomial has weight 2^(2 dim_m) c_lambda |f(z)|^2: with
+    # one seed both estimates agree up to that factor, and f = 1 gives the
+    # constant itself with no variance
+    lam = alg.genus + 0.5
+    const = 2.0 ** (2 * alg.dim_m)
+    for p in (SparsePolynomial.constant(alg.zdim, 1.0),
+              rand_poly(alg.zdim, 2, np.random.default_rng(41))):
+        fb = spaces.poly_function(alg, p)
+        fs = spaces.transport_to_siegel(fb, lam)
+        nb, seb = spaces.bergman_norm_mc(fb, lam, alg, 3000,
+                                         np.random.default_rng(42))
+        ns, ses = spaces.bergman_norm_mc(fs, lam, alg, 3000,
+                                         np.random.default_rng(42),
+                                         realization="siegel")
+        assert ns ** 2 == pytest.approx(const * nb ** 2, rel=1e-8)
+        assert ses == pytest.approx(math.sqrt(const) * seb, rel=1e-6, abs=1e-8 * ns)
+    c = domains.bergman_constant(alg, lam)
+    one = spaces.poly_function(alg, SparsePolynomial.constant(alg.zdim, 1.0))
+    norm, se = spaces.bergman_norm_mc(spaces.transport_to_siegel(one, lam), lam,
+                                      alg, 3000, np.random.default_rng(43),
+                                      realization="siegel")
+    assert norm ** 2 == pytest.approx(const * c, rel=1e-8)
+    assert se <= 1e-8 * norm
+
+
+SPIN_CFG = domains.SiegelSamplerConfig(cauchy_x=True, sigma_x=0.5,
+                                       sigma_logdiag=0.5, sigma_lower=0.5)
+
+
+def test_spin_siegel_estimates_lie_within_their_own_errors():
+    # spin_factor(4) at lambda = 6 with 400 draws, the setting whose Siegel
+    # importance weights were heavy-tailed: for each of 200 seeds, the
+    # estimates of ||1||^2 and of a random transported polynomial lie within
+    # 6 of their own standard errors (plus rounding) of the absolute value
+    # 2^(2 dim_m) c_lambda ||f||^2_lambda
+    alg, lam = eja.spin_factor(4), 6.0
+    const = 2.0 ** (2 * alg.dim_m) * domains.bergman_constant(alg, lam)
+    monos = [a for d in range(3) for a in fischer.homogeneous_monomials(4, d)]
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        for p in (SparsePolynomial.constant(4, 1.0), None):
+            if p is None:
+                coeffs = rng.normal(size=15) + 1j * rng.normal(size=15)
+                p = SparsePolynomial(4, dict(zip(monos, coeffs)))
+            f = spaces.transport_to_siegel(spaces.poly_function(alg, p), lam)
+            norm, se = spaces.bergman_norm_mc(f, lam, alg, 400, rng,
+                                              realization="siegel",
+                                              config=SPIN_CFG)
+            want = const * spaces.h_lambda_norm_sq(p, lam, alg, 2)[0]
+            assert abs(norm ** 2 - want) <= 6 * 2 * norm * se + 1e-12 * want, seed
+
+
+def test_monte_carlo_peak_memory_is_set_by_the_block():
+    # tracemalloc peak of each estimator at 64 blocks against 4 blocks
+    fz = spaces.poly_function(DISC, Z * Z)
+    fs = spaces.transport_to_siegel(fz, 3.0)
+    fh = spaces.transport_to_siegel(spaces.poly_function(DISC, Z + 1.0), 1.0)
+    runs = [
+        lambda n: spaces.bergman_norm_mc(fz, 3.0, DISC, n, np.random.default_rng(1)),
+        lambda n: spaces.bergman_norm_mc(fs, 3.0, DISC, n, np.random.default_rng(2),
+                                         realization="siegel"),
+        lambda n: spaces.hardy_norm_mc(fz, DISC, n, np.random.default_rng(3)),
+        lambda n: spaces.hardy_norm_mc(fh, DISC, n, np.random.default_rng(4),
+                                       realization="siegel"),
+    ]
+
+    def peak(run, n):
+        tracemalloc.start()
+        try:
+            run(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for run in runs:
+        run(spaces.BLOCK)
+        small, large = peak(run, 4 * spaces.BLOCK), peak(run, 64 * spaces.BLOCK)
+        assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_monte_carlo_norms_need_a_sample(n):
+    f = spaces.poly_function(DISC, Z)
+    with pytest.raises(ValueError):
+        spaces.bergman_norm_mc(f, 2.0, DISC, n, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        spaces.hardy_norm_mc(f, DISC, n, np.random.default_rng(0))
 
 
 def test_hardy_disc_monomials():
