@@ -16,10 +16,12 @@ They lie in the unit disc, so the branch is the continuous one.
 Points travel as stacks of chart vectors (spaces.point_vector per row) where
 Monte Carlo needs many: sample_weighted_bounded draws exactly from
 h(z, z)^(lambda - g) dm over its mass bergman_constant, in polar
-coordinates; cayley_rows carries such rows to the Siegel side with the real
-Jacobian of the map, siegel_log_delta_rows gives log Delta of their defect,
-and inverse_cayley_rows maps tube points back. sample_siegel_batch draws the
-Siegel proposal of the Gram search as arrays, with its exact log density.
+coordinates; sphere_rows draws directions uniform on a sphere; cayley_rows
+carries such rows to the Siegel side with log |Delta(e - z)|, which gives
+the real Jacobian of the map, siegel_log_delta_rows gives log Delta of their
+defect, and inverse_cayley_rows maps tube points back. sample_siegel_batch
+draws the Siegel proposal of the Gram search as arrays, with its exact log
+density.
 bounded_from_vector and siegel_from_vector turn one row into a point.
 """
 
@@ -209,7 +211,8 @@ def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
 
 def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
     """(u^(-1), Delta(u)) on a stack of z-chart rows; the inverse is taken
-    of the Z_1 part, Delta by the top minor polynomial.
+    of the Z_1 part, Delta by the top minor polynomial. U may be
+    overwritten.
 
     u^(-1) is e / Delta(u) at rank 1 and (tr(u) e - u) / Delta(u) at rank 2,
     with tr(u) = <u, e> (e's coordinates sit where the trace weights are 1);
@@ -223,8 +226,16 @@ def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
     if alg.rank == 1:
         return ez * (1.0 / det)[:, None], det
     if alg.rank == 2:
-        tr = X @ (chart["from_z"] @ e.coords)
-        return (tr[:, None] * ez - X) * (1.0 / det)[:, None], det
+        # 1 / Delta(u) in real arithmetic, then (tr(u) e - u) / Delta(u)
+        # written over U one coordinate at a time
+        q = np.conj(det)
+        q *= 1.0 / (np.square(det.real) + np.square(det.imag))
+        tq = X @ (chart["from_z"] @ e.coords)
+        tq *= q
+        for k, x in enumerate(X.T):
+            x *= q
+            np.subtract(ez[k] * tq, x, out=x)
+        return X, det
     M = (X @ chart["from_z"] @ chart["embed"]).reshape(-1, chart["n"], chart["n"])
     inv = np.linalg.inv(M).reshape(len(X), -1) @ chart["unembed"] @ chart["to_z"]
     return inv, det
@@ -702,9 +713,12 @@ def _jacobi_ensemble(alg: AlgebraDescriptor, lam: float, n: int,
     b = 0. Rank 2 with b = 0: s = 1 - u has density proportional to
     |s_1 - s_2|^a (s_1 s_2)^(c - 1), c = lambda - g + 1, which in the larger
     s_1 = M and the ratio x = s_2 / M factorizes as
-    M^(a + 2c - 1) x^(c - 1) (1 - x)^a, so both are drawn exactly (the rows
-    come sorted, which the Haar measure of K makes immaterial). Otherwise
-    each u_j is a Beta(b + 1, c) draw and a row is kept with probability
+    M^(a + 2c - 1) x^(c - 1) (1 - x)^a: M ~ Beta(a + 2c, 1) and, a being an
+    integer, x ~ Beta(c, a + 1) = prod_(j=0..a) U_j^(1/(c + j)) with the U_j
+    uniform, since Beta(s, 1) Beta(s + 1, t) ~ Beta(s, t + 1). Each
+    U^(1/s) is drawn as exp(-E / s), E standard exponential. The rows come
+    sorted, which the Haar measure of K makes immaterial. Otherwise each
+    u_j is a Beta(b + 1, c) draw and a row is kept with probability
     prod_(i<j) |u_i - u_j|^a, which is at most 1.
     """
     r, a, b = alg.rank, alg.peirce_a, alg.siegel_n // alg.rank
@@ -718,9 +732,12 @@ def _jacobi_ensemble(alg: AlgebraDescriptor, lam: float, n: int,
     if r == 1:
         return beta(n)
     if r == 2 and b == 0:
-        M = (1.0 - rng.uniform(size=n)) ** (1.0 / (a + 2.0 * c))
-        x = rng.beta(c, a + 1.0, size=n)
-        return 1.0 - np.stack([M, M * x], axis=1)
+        E = rng.standard_exponential(size=(a + 2, n))
+        s = np.empty((2, n))
+        np.exp(E[0] * (-1.0 / (a + 2.0 * c)), out=s[0])  # M
+        np.exp((-1.0 / (c + np.arange(a + 1.0))) @ E[1:], out=s[1])  # x
+        s[1] *= s[0]
+        return np.subtract(1.0, s, out=s).T
     i, j = np.triu_indices(r, k=1)
     parts, have, tried = [], 0, 0
     while have < n:
@@ -751,31 +768,61 @@ def _orthonormal_rows(G: np.ndarray) -> np.ndarray:
     return Q
 
 
+def sphere_rows(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows uniform on the unit sphere of C^d: complex Gaussians over their
+    norms, which are taken in real arithmetic."""
+    G = rng.standard_normal(size=(d, 2 * n)).view(complex)
+    s = np.zeros(n)
+    for row in G:
+        s += np.square(row.real)
+        s += np.square(row.imag)
+    G *= np.divide(1.0, np.sqrt(s, out=s), out=s)
+    return G.T
+
+
+def _u2_rows(n: int, rng: np.random.Generator):
+    """Rows of n Haar elements of U(2) as a pair of (2, n) stacks, from six
+    normals each: the first row (alpha, beta) uniform on the unit sphere of
+    C^2, the second e^(i phi) (-conj beta, conj alpha) with a uniform phase,
+    which is uniform on the unit vectors orthogonal to the first."""
+    first = sphere_rows(2, n, rng).T
+    second = np.conj(first[::-1])
+    second *= sphere_rows(1, n, rng)[:, 0]
+    second[0] *= -1.0
+    return first, second
+
+
 def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """z-chart rows of k . sum_j t_j c_j, one Haar k of the full K per row of
     t (n, r).
 
-    Rank 1: K is transitive on each sphere of the ball. With Q a Haar frame
-    stack from _orthonormal_rows: sym_real Z = Q^T diag(t) Q (u Z u^T,
-    u in U(r)); herm_complex Z = U^T diag(t) V with V the first p rows of a
-    unitary of U(q) (U Z V*); herm_quaternion A = Q^T D Q with
-    D = J diag(t_j I_2), on the skew picture A = J H whose upper entries are
-    the chart (u A u^T, u in U(2r)); spin e^(i theta) O, O in SO(m), in the
-    unitary coordinates y with Delta = sum y^2 / 2 (u_0, u_1 =
-    (y_0 +- i y_1) / sqrt 2, u_k = i y_k), where the frame sum is
-    ((t_1 + t_2) e_0 - i (t_1 - t_2) e_1) / sqrt 2. Products run with the
-    sample index last.
+    Rank 1: K is transitive on each sphere of the ball, so a row is t times
+    a sphere_rows direction. Otherwise, with Q a stack of Haar frames (rows
+    Q[j]; _u2_rows for U(2), else _orthonormal_rows of Gaussians): sym_real
+    Z = Q^T diag(t) Q = sum_j t_j Q[j] Q[j]^T (u Z u^T, u in U(r)), whose
+    chart is the upper entries row by row, the off-diagonal ones times
+    sqrt 2 (eja._coord_matrices); herm_complex Z = U^T diag(t) V with V the
+    first p rows of a unitary of U(q) (U Z V*); herm_quaternion
+    A = Q^T D Q with D = J diag(t_j I_2), on the skew picture A = J H whose
+    upper entries are the chart (u A u^T, u in U(2r)); spin
+    e^(i theta) O, O in SO(m), in the unitary coordinates y with
+    Delta = sum y^2 / 2 (u_0, u_1 = (y_0 +- i y_1) / sqrt 2, u_k = i y_k),
+    where the frame sum is ((t_1 + t_2) e_0 - i (t_1 - t_2) e_1) / sqrt 2.
+    Products run with the sample index last, and the rows come as the
+    transpose of that stack.
     """
     n, r = t.shape
     t = t.T
 
-    def cgauss(*shape):
-        return rng.standard_normal(size=shape + (2 * n,)).view(complex)
+    def frames(k: int, d: int):
+        if k == d == 2:
+            return _u2_rows(n, rng)
+        G = rng.standard_normal(size=(k, d, 2 * n)).view(complex)
+        return _orthonormal_rows(G)
 
     if r == 1:
-        G = cgauss(alg.zdim)
-        return (t[0] * G / np.sqrt(np.sum((G * G.conj()).real, axis=0))).T
+        return t[0][:, None] * sphere_rows(alg.zdim, n, rng)
     if alg.family == "spin":
         F = _orthonormal_rows(rng.normal(size=(2, alg.dim_m, n)))
         ph = np.exp(2j * np.pi * rng.uniform(size=n)) * eja._ISQ2
@@ -786,21 +833,26 @@ def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
         return u.T
     if alg.family == "herm_complex":
         p = alg.size
-        U = _orthonormal_rows(cgauss(p, p))
-        V = _orthonormal_rows(cgauss(p, alg.cols))
+        U = frames(p, p)
+        V = frames(p, alg.cols)
         Z = sum((U[j] * t[j])[:, None] * V[j][None] for j in range(p))
         return np.concatenate([Z[:, :p].reshape(p * p, n),
                                Z[:, p:].reshape(-1, n)]).T
     if alg.family == "sym_real":
-        Q = _orthonormal_rows(cgauss(r, r))
+        Q = frames(r, r)
         a, b = np.triu_indices(r)
-        P = sum(t[j] * Q[j][a] * Q[j][b] for j in range(r))
-        # chart coordinates of the symmetric matrix from its upper entries
-        chart = eja._chart(alg)
-        un = chart["unembed"]
-        S = np.where((a == b)[:, None], un[a * r + b], un[a * r + b] + un[b * r + a])
-        return P.T @ (S @ chart["to_z"])
-    Q = _orthonormal_rows(cgauss(2 * r, 2 * r))
+        P = np.empty((len(a), n), dtype=complex)
+        for k, (i, j) in enumerate(zip(a, b)):
+            np.multiply(Q[0][i], Q[0][j], out=P[k])
+            P[k] *= t[0]
+            for l in range(1, r):
+                x = Q[l][i] * Q[l][j]
+                x *= t[l]
+                P[k] += x
+            if i != j:
+                P[k] *= math.sqrt(2.0)
+        return P.T
+    Q = frames(2 * r, 2 * r)
     a, b = np.triu_indices(2 * r, k=1)
     return sum(t[j] * (Q[2 * j][a] * Q[2 * j + 1][b]
                        - Q[2 * j + 1][a] * Q[2 * j][b]) for j in range(r)).T
@@ -810,48 +862,58 @@ def sample_weighted_bounded(alg: AlgebraDescriptor, lam: float, n: int,
                             rng: np.random.Generator):
     """n exact draws from c_lambda^(-1) h(z, z)^(lambda - g) dm (z-chart
     Lebesgue measure, c_lambda = bergman_constant) as z-chart rows
-    (spaces.point_vector per row), and log h(z, z) of each.
+    (spaces.point_vector per row), and their (n, r) squared radii u.
 
     Polar coordinates z = k . sum_j t_j c_j: u = t^2 from _jacobi_ensemble,
-    then k Haar in the full K (_polar_rows), and h(z, z) = prod_j (1 - u_j).
+    then k Haar in the full K (_polar_rows); h(z, z) = prod_j (1 - u_j).
     At lambda = g the rows are uniform on D.
     """
     if lam <= alg.genus - 1:
         raise ValueError("the weighted volume diverges at or below genus - 1")
     u = _jacobi_ensemble(alg, lam, n, rng)
-    return _polar_rows(alg, np.sqrt(u), rng), np.log1p(-u).sum(axis=1)
+    return _polar_rows(alg, np.sqrt(u), rng), u
 
 
 def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
     """cayley on a stack of bounded z-chart rows: Siegel rows
     w = i (e + z)(e - z)^(-1) = 2i (e - z)^(-1) - ie, with
     omega = (e - z)^(-1) zeta for herm_complex(p, q > p), and
-    log |det c'(z)|^2, the real Jacobian in z-chart coordinates.
+    log |Delta(e - z)|, which gives the real Jacobian in z-chart coordinates.
 
     c'(z) is 2i P((e - z)^(-1)) on Z_1, of determinant
     (2i)^m Delta(e - z)^(-2m/r), times left multiplication by (e - z)^(-1)
     on the half-space block, of determinant Delta(e - z)^(-(q - p)). Since
     g = 2m/r + (q - p), |det c'(z)|^2 = 2^(2m) |Delta(e - z)|^(-2g) with
-    m = dim_m.
+    m = dim_m. Delta((w + ie)/2i) = Delta(e - z)^(-1) on tube domains.
     """
     m = alg.dim_m
     ez = eja.to_zchart(eja.identity(alg))
     X = -np.asarray(V, dtype=complex)
     X[:, :m] += ez
-    A, det = _jordan_inverse_rows(alg, X)
-    W = 2j * A - 1j * ez
+    W, det = _jordan_inverse_rows(alg, X)
     if alg.siegel_n:
         chart = eja._chart(alg)
         p = alg.size
-        Am = (A @ chart["from_z"] @ chart["embed"]).reshape(-1, p, p)
-        zeta = np.asarray(V)[:, m:].reshape(len(X), p, -1)
-        W = np.concatenate([W, (Am @ zeta).reshape(len(X), -1)], axis=1)
-    return W, 2.0 * m * math.log(2.0) - 2.0 * alg.genus * np.log(np.abs(det))
+        Am = (W @ chart["from_z"] @ chart["embed"]).reshape(-1, p, p)
+        zeta = np.asarray(V)[:, m:].reshape(len(V), p, -1)
+        omega = (Am @ zeta).reshape(len(V), -1)
+    W *= 2j
+    W -= 1j * ez
+    if alg.siegel_n:
+        W = np.concatenate([W, omega], axis=1)
+    # log |Delta| in real arithmetic
+    return W, 0.5 * np.log(np.square(det.real) + np.square(det.imag))
 
 
 def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:
     """log Delta(Im w - Phi(omega, omega)) on a stack of interior Siegel
-    z-chart rows (siegel_defect per row)."""
+    z-chart rows (siegel_defect per row).
+
+    At rank 2, Delta(y) = (tr(y)^2 - tr(y^2)) / 2 in real arithmetic on the
+    coordinates of y, with tr(y) = <y, e> and tr(y^2) = <y, y> =
+    sum_k w_k y_k^2 (eja._trace_weights); other ranks evaluate the top minor
+    polynomial on the z-chart of y.
+    """
     chart = eja._chart(alg)
     m = alg.dim_m
     W = np.asarray(W, dtype=complex)
@@ -860,6 +922,9 @@ def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:
         om = W[:, m:].reshape(len(W), alg.size, -1)
         OO = om @ om.conj().transpose(0, 2, 1)
         Y = Y - (OO.reshape(len(W), -1) @ chart["unembed"]).real
+    if alg.rank == 2:
+        tr = Y @ eja.identity(alg).coords.real
+        return np.log(0.5 * (np.square(tr) - np.square(Y) @ eja._trace_weights(alg)))
     U = np.zeros((len(W), alg.zdim), dtype=complex)
     U[:, :m] = Y @ chart["to_z"]
     return np.log(cones.minor_polynomials(alg)[-1].eval(U).real)

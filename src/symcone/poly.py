@@ -260,15 +260,21 @@ class SparsePolynomial:
                         c = c * x ** k
                 total += c
             return np.complex128(total)
-        vals = np.zeros(z.shape[0], dtype=complex)
+        vals = None
         for a, c in self.coeffs.items():
             term = None
             for i, k in enumerate(a):
                 if k:
                     p = _int_power(z[:, i], k)
-                    term = c * p if term is None else term * p
-            vals += c if term is None else term
-        return vals
+                    if term is None:
+                        term = c * p
+                    else:
+                        term *= p
+            if vals is None:
+                vals = np.full(z.shape[0], c, dtype=complex) if term is None else term
+            else:
+                vals += c if term is None else term
+        return np.zeros(z.shape[0], dtype=complex) if vals is None else vals
 
     # -- misc -----------------------------------------------------------------
 

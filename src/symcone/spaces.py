@@ -56,6 +56,8 @@ class HolFunction:
     taylor: Optional[SparsePolynomial] = None
     domain: str = "bounded"  # or "siegel"
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # (f, lambda) when this is the Cayley transport T f of transport_to_siegel
+    transported: Optional[Tuple["HolFunction", float]] = None
 
     def __post_init__(self):
         if self.batch is None:
@@ -403,6 +405,9 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
     (Tf)(w) = f(C^{-1} w) * Delta^(-lambda)((w + ie)/2i) carries kernels to
     kernels, so series norms and Siegel integrals are proportional. The batch
     evaluator takes one inverse Cayley transform and one log Delta per stack.
+    The result keeps (f, lambda) as `transported`: at w = C(z),
+    (w + ie)/2i = (e - z)^(-1), so |Tf(w)|^2 = |f(z)|^2 |Delta(e - z)|^(2 lambda),
+    which bergman_norm_mc evaluates at the bounded rows it drew.
     """
     if f.domain != "bounded":
         raise ValueError("transport expects a bounded-side function")
@@ -418,7 +423,8 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
         Z, logdelta = domains.inverse_cayley_rows(alg, V)
         return f.batch(Z) * np.exp(-lam * logdelta)
 
-    return HolFunction(alg, ev, domain="siegel", batch=batch)
+    return HolFunction(alg, ev, domain="siegel", batch=batch,
+                       transported=(f, float(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +447,19 @@ def _fold(acc: Tuple[int, float, float], x: np.ndarray) -> Tuple[int, float, flo
     n_a, mean_a, m2_a = acc
     n_b = len(x)
     mean_b = float(np.mean(x))
-    m2_b = float(np.sum((x - mean_b) ** 2))
+    x = x - mean_b
+    m2_b = float(x @ x)
     n = n_a + n_b
     delta = mean_b - mean_a
     return (n, mean_a + delta * n_b / n,
             m2_a + m2_b + delta * delta * n_a * n_b / n)
+
+
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 in real arithmetic."""
+    out = np.square(v.real)
+    out += np.square(v.imag)
+    return out
 
 
 def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
@@ -454,7 +468,7 @@ def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
                     config: Optional[domains.SiegelSamplerConfig] = None
                     ) -> Tuple[float, float]:
     """(norm, standard error) of the weighted square integral, drawn,
-    evaluated through f.batch and folded in blocks of BLOCK samples.
+    evaluated and folded in blocks of BLOCK samples.
 
     Bounded: the integral over D of |f|^2 h(z, z)^(lambda - g) is
     c_lambda E|f|^2 under the exact draws of domains.sample_weighted_bounded,
@@ -463,8 +477,12 @@ def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
     the integral of |f|^2 Delta(Im w - Phi(omega, omega))^(lambda - g) over
     the Siegel domain is estimated at the Cayley images w = c(z) of the same
     draws, each weighted by Delta(defect)^(lambda - g) |det c'(z)|^2 c_lambda
-    / h(z, z)^(lambda - g). For a transported f that weight times |f(w)|^2
-    is 2^(2 dim_m) c_lambda |f_bounded(z)|^2, so the weights are bounded.
+    / h(z, z)^(lambda - g), with the defect computed from w and the Jacobian
+    2^(2 dim_m) |Delta(e - z)|^(-2g) from z. A function made by
+    transport_to_siegel is evaluated at the bounded rows z, as
+    |f_bounded(z)|^2 |Delta(e - z)|^(2 lambda); any other through f.batch
+    on the rows w. For a transported f the weight times |f(w)|^2 is
+    2^(2 dim_m) c_lambda |f_bounded(z)|^2, so the weights are bounded.
     Both integrals are Lebesgue in z-chart coordinates.
 
     config is accepted and ignored; the benchmark still passes it, and the
@@ -475,17 +493,34 @@ def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
     if realization not in ("bounded", "siegel"):
         raise ValueError(realization)
     g = float(alg.genus)
+    # a transported f is evaluated at the bounded rows z, and its factor
+    # |Delta(e - z)|^(2 lambda_t) joins the Jacobian's |Delta(e - z)|^(-2g)
+    fb, lam_t = f.transported or (None, 0.0)
+
+    def values(b: int) -> np.ndarray:
+        V, u = domains.sample_weighted_bounded(alg, lam, b, rng)
+        if realization == "bounded":
+            return _abs2(f.batch(V))
+        logh = np.log1p(-u).sum(axis=1)
+        del u
+        x = None if fb is None else _abs2(fb.batch(V))
+        W, logdet = domains.cayley_rows(alg, V)
+        del V
+        if x is None:
+            x = _abs2(f.batch(W))
+        logw = domains.siegel_log_delta_rows(alg, W)
+        logw -= logh
+        logw *= lam - g
+        logdet *= 2.0 * (lam_t - g)
+        logw += logdet
+        x *= np.exp(logw, out=logw)
+        return x
+
     acc = (0, 0.0, 0.0)
     for b in blocks:
-        V, logh = domains.sample_weighted_bounded(alg, lam, b, rng)
-        if realization == "bounded":
-            vals = np.abs(f.batch(V)) ** 2
-        else:
-            W, logjac = domains.cayley_rows(alg, V)
-            logdelta = domains.siegel_log_delta_rows(alg, W)
-            vals = (np.abs(f.batch(W)) ** 2
-                    * np.exp((lam - g) * (logdelta - logh) + logjac))
-        acc = _fold(acc, vals)
+        acc = _fold(acc, values(b))
+    if realization == "siegel":
+        c *= 2.0 ** (2 * alg.dim_m)  # the constant factor of |det c'(z)|^2
     n, mean, m2 = acc
     est = c * mean
     se = c * math.sqrt(m2 / n) / math.sqrt(n)
@@ -501,9 +536,10 @@ def hardy_norm_mc(f: HolFunction, alg: AlgebraDescriptor, n_samples: int,
     """sup over a dilation grid of mean-square boundary integrals, drawn,
     evaluated through f.batch and folded in blocks of BLOCK samples.
 
-    Rank-1 bounded: normalized sphere measure on |z| = r. Tube: Lebesgue
-    integral over the flat boundary x + ih with componentwise Cauchy
-    importance sampling, sup over the cone grid h = t e.
+    Rank-1 bounded: normalized sphere measure on |z| = r, drawn by
+    domains.sphere_rows. Tube: Lebesgue integral over the flat boundary
+    x + ih with componentwise Cauchy importance sampling, sup over the cone
+    grid h = t e.
     """
     blocks = _blocks(n_samples)
     if realization == "bounded":
@@ -511,34 +547,27 @@ def hardy_norm_mc(f: HolFunction, alg: AlgebraDescriptor, n_samples: int,
             raise ValueError("boundary sampling is rank-1 only here")
         grid = radius_grid if radius_grid is not None else (
             0.9, 0.99, 0.999, 0.9999, 0.99999)
-        d = alg.zdim
 
-        def draw(b):
-            G = rng.normal(size=(b, d)) + 1j * rng.normal(size=(b, d))
-            G /= np.linalg.norm(G, axis=1, keepdims=True)
-            return G, 1.0
-
-        def point(G, r):
-            return r * G
+        def values(b):
+            G = domains.sphere_rows(alg.zdim, b, rng)
+            for r in grid:
+                yield _abs2(f.batch(r * G))
     elif realization == "siegel":
         if not alg.is_tube:
             raise ValueError("flat-boundary sampling is tube-only here")
         grid = cone_grid if cone_grid is not None else (0.02, 0.1, 0.3, 1.0)
         ez = eja.to_zchart(eja.identity(alg))
 
-        def draw(b):
+        def values(b):
             X = rng.standard_cauchy(size=(b, alg.dim_m))
-            return X, np.exp(np.sum(np.log(np.pi * (1.0 + X ** 2)), axis=1))
-
-        def point(X, t):
-            return X + 1j * t * ez
+            w = np.exp(np.sum(np.log(np.pi * (1.0 + X ** 2)), axis=1))
+            for t in grid:
+                yield _abs2(f.batch(X + 1j * t * ez)) * w
     else:
         raise ValueError(realization)
     accs = [(0, 0.0, 0.0)] * len(grid)
     for b in blocks:
-        P, w = draw(b)
-        accs = [_fold(acc, np.abs(f.batch(point(P, s))) ** 2 * w)
-                for acc, s in zip(accs, grid)]
+        accs = [_fold(acc, x) for acc, x in zip(accs, values(b))]
     return math.sqrt(max((mean for _, mean, _ in accs), default=0.0))
 
 

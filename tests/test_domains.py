@@ -522,9 +522,11 @@ WEIGHTED = ALGS + [eja.herm_complex(1), eja.herm_complex(3), eja.herm_quaternion
 def test_weighted_draws_are_interior_with_their_log_h():
     rng = np.random.default_rng(31)
     for alg in WEIGHTED:
-        V, logh = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 6, rng)
+        V, u = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 6, rng)
         assert V.shape == (6, alg.zdim)
-        for v, lh in zip(V, logh):
+        assert u.shape == (6, alg.rank)
+        # h(z, z) = prod_j (1 - u_j)
+        for v, lh in zip(V, np.log1p(-u).sum(axis=1)):
             p = domains.bounded_from_vector(alg, v)
             assert domains.in_bounded_domain(p), alg
             h = domains.generic_norm(p, p)
@@ -546,13 +548,17 @@ def test_cayley_rows_match_the_per_point_transform_and_its_jacobian():
     for alg in WEIGHTED:
         V, _ = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 3, rng)
         V = 0.8 * V
-        W, logjac = domains.cayley_rows(alg, V)
+        W, logdet = domains.cayley_rows(alg, V)
+        logjac = 2 * alg.dim_m * np.log(2.0) - 2 * alg.genus * logdet
         logdelta = domains.siegel_log_delta_rows(alg, W)
-        for v, w, lj, ld in zip(V, W, logjac, logdelta):
+        for v, w, lj, ld, ldet in zip(V, W, logjac, logdelta, logdet):
             def c(x):
                 return _siegel_vector(domains.cayley(domains.bounded_from_vector(alg, x)))
-            q = domains.cayley(domains.bounded_from_vector(alg, v))
+            z = domains.bounded_from_vector(alg, v)
+            q = domains.cayley(z)
             assert np.allclose(w, _siegel_vector(q), rtol=0, atol=1e-11), alg
+            d = cones.delta_j(eja.identity(alg) - z.z1, alg.rank)
+            assert np.exp(ldet) == pytest.approx(abs(d), rel=1e-12), alg
             want = cones.delta_j(domains.siegel_defect(q), alg.rank)
             assert np.exp(ld) == pytest.approx(want, rel=1e-10), alg
             eye = np.eye(alg.zdim)
@@ -560,6 +566,40 @@ def test_cayley_rows_match_the_per_point_transform_and_its_jacobian():
                           for k in range(alg.zdim)])
             fd = abs(np.linalg.det(J)) ** 2
             assert np.exp(lj) == pytest.approx(fd, rel=1e-6), alg
+
+
+@pytest.mark.parametrize("alg", [eja.sym_real(2), eja.herm_complex(2, 2),
+                                 eja.spin_factor(5), eja.herm_quaternion(2)], ids=str)
+def test_rank2_radial_draws_follow_their_beta_laws(alg):
+    # s = 1 - u at rank 2, Peirce a = 1, 2, 3, 4: the larger M ~ Beta(a + 2c, 1)
+    # and the ratio x = s_2 / M ~ Beta(c, a + 1), c = lambda - g + 1; mean
+    # and variance of each within 5 standard errors
+    rng = np.random.default_rng(36)
+    a, n = alg.peirce_a, 40000
+    for lam in (alg.genus - 0.5, alg.genus + 2.0):
+        c = lam - alg.genus + 1.0
+        s = 1.0 - domains._jacobi_ensemble(alg, lam, n, rng)
+        M = s.max(axis=1)
+        for v, (p, q) in ((M, (a + 2.0 * c, 1.0)), (s.min(axis=1) / M, (c, a + 1.0))):
+            mean = p / (p + q)
+            var = p * q / ((p + q) ** 2 * (p + q + 1.0))
+            assert abs(v.mean() - mean) <= 5 * v.std() / np.sqrt(n), (lam, p, q)
+            dev = (v - v.mean()) ** 2
+            assert abs(dev.mean() - var) <= 5 * dev.std() / np.sqrt(n), (lam, p, q)
+
+
+def test_inverse_cayley_rows_undoes_cayley_rows():
+    # on every tube family, with (w + ie)/2i = (e - z)^(-1): the real part
+    # of the log Delta it returns is -log |Delta(e - z)|
+    rng = np.random.default_rng(34)
+    for alg in WEIGHTED:
+        if not alg.is_tube:
+            continue
+        V, _ = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 50, rng)
+        W, logdet = domains.cayley_rows(alg, V)
+        Z, logdelta = domains.inverse_cayley_rows(alg, W)
+        assert np.abs(Z - V).max() <= 1e-12, alg
+        assert np.allclose(logdelta.real, -logdet, rtol=0, atol=1e-12), alg
 
 
 class _CountingRng:

@@ -388,6 +388,25 @@ def test_siegel_estimate_is_the_bounded_one_times_two_to_twice_the_dimension(alg
     assert se <= 1e-8 * norm
 
 
+@pytest.mark.parametrize("alg", TUBE_FAMILIES, ids=str)
+def test_siegel_estimate_through_the_bounded_rows_matches_the_siegel_rows(alg):
+    # a transported f is evaluated at the bounded rows z; a function with the
+    # same evaluators but no bounded function goes through f.batch on the
+    # Cayley images w, which inverts them again: one seed, one estimate
+    lam = alg.genus + 0.5
+    fb = spaces.poly_function(alg, rand_poly(alg.zdim, 2, np.random.default_rng(44)))
+    fs = spaces.transport_to_siegel(fb, lam)
+    plain = spaces.HolFunction(alg, fs.evaluator, domain="siegel", batch=fs.batch)
+    assert fs.transported == (fb, lam) and plain.transported is None
+    n = spaces.BLOCK + 500
+    norm, se = spaces.bergman_norm_mc(fs, lam, alg, n, np.random.default_rng(45),
+                                      realization="siegel")
+    norm_w, se_w = spaces.bergman_norm_mc(plain, lam, alg, n, np.random.default_rng(45),
+                                          realization="siegel")
+    assert norm == pytest.approx(norm_w, rel=1e-10)
+    assert se == pytest.approx(se_w, rel=1e-8)
+
+
 SPIN_CFG = domains.SiegelSamplerConfig(cauchy_x=True, sigma_x=0.5,
                                        sigma_logdiag=0.5, sigma_lower=0.5)
 
@@ -416,17 +435,24 @@ def test_spin_siegel_estimates_lie_within_their_own_errors():
 
 
 def test_monte_carlo_peak_memory_is_set_by_the_block():
-    # tracemalloc peak of each estimator at 64 blocks against 4 blocks
+    # tracemalloc peak of each estimator at 64 blocks against 4 blocks; at 4
+    # blocks, the Bergman peaks in float64 words per draw of one block stay
+    # within 10 on the disc and 40 for a transported sym_real(2) polynomial
     fz = spaces.poly_function(DISC, Z * Z)
     fs = spaces.transport_to_siegel(fz, 3.0)
     fh = spaces.transport_to_siegel(spaces.poly_function(DISC, Z + 1.0), 1.0)
+    fsr = spaces.transport_to_siegel(
+        spaces.poly_function(SR2, rand_poly(3, 3, np.random.default_rng(5))), 4.0)
     runs = [
-        lambda n: spaces.bergman_norm_mc(fz, 3.0, DISC, n, np.random.default_rng(1)),
-        lambda n: spaces.bergman_norm_mc(fs, 3.0, DISC, n, np.random.default_rng(2),
-                                         realization="siegel"),
-        lambda n: spaces.hardy_norm_mc(fz, DISC, n, np.random.default_rng(3)),
-        lambda n: spaces.hardy_norm_mc(fh, DISC, n, np.random.default_rng(4),
-                                       realization="siegel"),
+        (lambda n: spaces.bergman_norm_mc(fz, 3.0, DISC, n, np.random.default_rng(1)),
+         10),
+        (lambda n: spaces.bergman_norm_mc(fs, 3.0, DISC, n, np.random.default_rng(2),
+                                          realization="siegel"), None),
+        (lambda n: spaces.hardy_norm_mc(fz, DISC, n, np.random.default_rng(3)), None),
+        (lambda n: spaces.hardy_norm_mc(fh, DISC, n, np.random.default_rng(4),
+                                        realization="siegel"), None),
+        (lambda n: spaces.bergman_norm_mc(fsr, 4.0, SR2, n, np.random.default_rng(5),
+                                          realization="siegel"), 40),
     ]
 
     def peak(run, n):
@@ -437,10 +463,13 @@ def test_monte_carlo_peak_memory_is_set_by_the_block():
         finally:
             tracemalloc.stop()
 
-    for run in runs:
+    words = 8 * spaces.BLOCK
+    for run, most in runs:
         run(spaces.BLOCK)
         small, large = peak(run, 4 * spaces.BLOCK), peak(run, 64 * spaces.BLOCK)
         assert large <= 1.5 * small, (small, large)
+        if most is not None:
+            assert small <= most * words, small / words
 
 
 @pytest.mark.parametrize("n", [0, -1])
