@@ -406,12 +406,18 @@ def suite_fischer(cfg, rng):
     psr = fischer.projector(sr2)
     f = _rand_poly(3, 4, rng)
     worst = 0.0
-    for s in wallach.enumerate_signatures(2, 4):
+    sigs = list(wallach.enumerate_signatures(2, 4))
+    for s in sigs:
+        psr.basis(s)  # built and reported even where f has no part of degree |s|
         pf = psr.project(f, s)
         pf2 = psr.project(pf, s)
         worst = max(worst, fischer.fischer_norm(pf2 - pf))
+    spans = [psr.spans[s] for s in sigs]
     out.append(check("fischer/idempotence[sym2]", worst, 1e-8,
-                     {"degree": 4}, "Fischer norm"))
+                     {"degree": 4, "haar_samples": sum(sp.samples for sp in spans),
+                      "sv_dim_min": min(sp.sv_dim for sp in spans),
+                      "sv_next_max": max(sp.sv_next for sp in spans)},
+                     "Fischer norm"))
     return out
 
 
@@ -527,7 +533,8 @@ def suite_intertwine(cfg, rng):
     sr2 = eja.sym_real(2)
     lam_tube = sr2.dim_m / sr2.rank - 2.0
     maps = [_rand_affine(sr2, rng) for _ in range(3)]
-    tpts = [domains.sample_siegel(sr2, rng)[0] for _ in range(5)]
+    tpts = [domains.siegel_from_vector(sr2, v)
+            for v in domains.sample_siegel(sr2, 5, rng)]
     res = spaces.intertwine_check_tube(sr2, _rand_poly(3, 4, rng),
                                        lam_tube, maps, tpts)
     out.append(check("intertwine/tube[sym2]", res, 1e-8,

@@ -1,5 +1,6 @@
 """Bounded and Siegel realizations: membership, Cayley transform, kernels,
-group actions, the invariant measure, and samplers.
+group actions, the invariant measure, Haar draws of the isotropy group K,
+and samplers.
 
 Points of the bounded domain pair a complex algebra element z1 with a
 rectangular block zeta (only herm_complex(p, q>p) has one). Siegel points
@@ -19,9 +20,11 @@ h(z, z)^(lambda - g) dm over its mass bergman_constant, in polar
 coordinates; sphere_rows draws directions uniform on a sphere; cayley_rows
 carries such rows to the Siegel side with log |Delta(e - z)|, which gives
 the real Jacobian of the map, siegel_log_delta_rows gives log Delta of their
-defect, and inverse_cayley_rows maps tube points back. sample_siegel_batch
-draws the Siegel proposal of the Gram search as arrays, with its exact log
-density.
+defect, and inverse_cayley_rows maps tube points back. sample_siegel, the
+one Siegel sampler, is the Cayley image of the uniform draws on D. One
+routine, _frames, draws the Haar unitary frames behind the polar draws,
+the stacks of K chart matrices of haar_K and the unitary part of
+mobius_sample.
 bounded_from_vector and siegel_from_vector turn one row into a point.
 """
 
@@ -362,21 +365,13 @@ def mobius_identity(alg: AlgebraDescriptor) -> MobiusMap:
 
 
 def mobius_sample(alg: AlgebraDescriptor, rng: np.random.Generator) -> MobiusMap:
-    """b uniform in the radius-0.8 ball, Haar unitary part."""
-    d = alg.dim_m + alg.siegel_n
-    while True:
-        b = 0.8 * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
-        if np.linalg.norm(b) < 0.8:
-            break
-    return MobiusMap(alg, b, _haar_unitary(d, rng))
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar element of U(n): QR of a complex Gaussian, phases fixed by R."""
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(G)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    """b uniform in the radius-0.8 ball of C^d, drawn exactly as a
+    sphere_rows direction times 0.8 U^(1/(2d)) with U uniform (the radius r
+    of a uniform point of the unit ball has P(r <= x) = x^(2d)); the unitary
+    part is one Haar frame of U(d) (_frames)."""
+    d = alg.zdim
+    b = sphere_rows(d, 1, rng)[0] * (0.8 * rng.uniform() ** (0.5 / d))
+    return MobiusMap(alg, b, np.array(_frames(d, d, 1, rng))[..., 0])
 
 
 def _ball_involution(b: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -503,6 +498,9 @@ def sample_bounded(alg: AlgebraDescriptor, rng: np.random.Generator):
 
 @dataclass
 class SiegelSamplerConfig:
+    """Unused: nothing in the package reads these fields, and
+    bergman_norm_mc ignores its config keyword. The benchmark's workloads
+    still build one and pass it."""
     sigma_zeta: float = 1.0
     sigma_x: float = 1.0
     sigma_lower: float = 1.0
@@ -532,45 +530,11 @@ def _triangular_basis(alg: AlgebraDescriptor) -> np.ndarray:
     return alg._cache["tri_basis"]
 
 
-def _orbit_form(alg: AlgebraDescriptor) -> np.ndarray:
-    """R with t . e = (c outer c) @ R in chart coordinates (cached).
-
-    c = (t_11, ..., t_rr, lower coordinates): for a matrix family as in
-    _triangular_basis, R being the real parts of unembed(P_a P_b*); for spin
-    c = (t11, t22, v) and t . e = (t11^2, t22^2 + |v|^2, t11 v).
-    """
-    if "orbit_form" not in alg._cache:
-        m = alg.dim_m
-        if alg.family == "spin":
-            R = np.zeros((m, m, m))
-            R[0, 0, 0] = R[1, 1, 1] = 1.0
-            for k in range(2, m):
-                R[k, k, 1] = 1.0
-                R[0, k, k] = R[k, 0, k] = 0.5
-            R = R.reshape(m * m, m)
-        else:
-            P = _triangular_basis(alg)
-            PP = np.einsum("aij,bkj->abik", P, P.conj()).reshape(m * m, -1)
-            R = (PP @ eja._chart(alg)["unembed"]).real.copy()
-        alg._cache["orbit_form"] = R
-    return alg._cache["orbit_form"]
-
-
-def _triangular_params(t: cones.TriangularElement) -> np.ndarray:
-    """Coordinates: log diagonal first, then the strictly lower block.
-
-    The lower coordinates follow _triangular_basis: row by row, each block
-    left to right, each block unit by unit (1; 1, i; 1, i, j, k). Spin takes
-    (log t11, log t22, v).
-    """
-    if t.alg.family == "spin":
-        return np.concatenate([[np.log(t.t11), np.log(t.t22)], t.v])
-    P = _triangular_basis(t.alg)[t.alg.rank:]
-    low = np.einsum("kij,ij->k", P.conj(), t.mat).real / eja._block_size(t.alg)
-    return np.concatenate([np.log(t.diagonal()), low])
-
-
 def _triangular_from_params(alg: AlgebraDescriptor, theta: np.ndarray):
+    """The triangular element of the coordinates theta: log diagonal first,
+    then the strictly lower coordinates in the order of _triangular_basis
+    (row by row, each block left to right, unit by unit); spin takes
+    (log t11, log t22, v)."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (alg.dim_m,):
         raise ValueError("parameter vector must have length dim_m")
@@ -580,107 +544,6 @@ def _triangular_from_params(alg: AlgebraDescriptor, theta: np.ndarray):
     c = np.concatenate([np.exp(theta[: alg.rank]), theta[alg.rank:]])
     return cones.TriangularElement(
         alg, mat=np.tensordot(c, _triangular_basis(alg), axes=1))
-
-
-def _orbit_powers(alg: AlgebraDescriptor) -> tuple[float, np.ndarray]:
-    """(C, k) with |det d(theta -> t . e)| = C prod_j t_jj^(k_j).
-
-    k_j = 2 + a (r - j): t_jj^2 from the diagonal coordinate and t_jj from
-    each of the a (r - j) lower coordinates below it. C = 2^r sqrt(2)^(m - r)
-    for the matrix families (off-diagonal chart coordinates carry sqrt 2),
-    4 for spin.
-    """
-    r = alg.rank
-    C = 4.0 if alg.family == "spin" else 2.0 ** ((alg.dim_m + r) / 2.0)
-    return C, 2.0 + alg.peirce_a * (r - np.arange(1.0, r + 1))
-
-
-def orbit_jacobian(t: cones.TriangularElement) -> float:
-    """|det d(theta -> t(theta) . e)| at t, in closed form."""
-    C, k = _orbit_powers(t.alg)
-    return C * cones.character(t, k / 2.0)
-
-
-def _gauss_logpdf(v: np.ndarray, sigma: float) -> np.ndarray:
-    """N(0, sigma^2) log density summed over the last axis."""
-    v = np.asarray(v, dtype=float)
-    return (-0.5 * np.sum((v / sigma) ** 2, axis=-1)
-            - v.shape[-1] * np.log(sigma * np.sqrt(2 * np.pi)))
-
-
-def _cauchy_logpdf(v: np.ndarray, sigma: float) -> np.ndarray:
-    """Cauchy(0, sigma) log density summed over the last axis."""
-    v = np.asarray(v, dtype=float)
-    return np.sum(-np.log(np.pi * sigma * (1.0 + (v / sigma) ** 2)), axis=-1)
-
-
-def _proposal_logq(alg: AlgebraDescriptor, cfg: SiegelSamplerConfig, zeta,
-                   x, logdiag, lower) -> np.ndarray:
-    """Log proposal density (Lebesgue on (zeta, z)) from the draws, each an
-    (n, k) block; zeta is flattened, None for the tube families."""
-    out = (_gauss_logpdf(logdiag, cfg.sigma_logdiag)
-           + _gauss_logpdf(lower, cfg.sigma_lower)
-           + (_cauchy_logpdf(x, cfg.sigma_x) if cfg.cauchy_x
-              else _gauss_logpdf(x, cfg.sigma_x)))
-    if zeta is not None:
-        out = out + _gauss_logpdf(np.concatenate([zeta.real, zeta.imag], axis=-1),
-                                  cfg.sigma_zeta)
-    C, k = _orbit_powers(alg)
-    return out - np.log(C) - logdiag @ k
-
-
-def siegel_proposal_logdensity(p: SiegelPoint,
-                               cfg: SiegelSamplerConfig) -> float:
-    """Exact log density of sample_siegel at p (Lebesgue on (zeta, z)):
-    the draws recovered from p, the triangular ones by Cholesky."""
-    r = p.alg.rank
-    theta = _triangular_params(cones.cholesky_t(siegel_defect(p)))
-    zeta = None if p.zeta is None else p.zeta.ravel()
-    return float(_proposal_logq(p.alg, cfg, zeta, p.z.real_part().coords,
-                                theta[:r], theta[r:]))
-
-
-def sample_siegel_batch(alg: AlgebraDescriptor, n: int,
-                        rng: np.random.Generator,
-                        cfg: SiegelSamplerConfig = SiegelSamplerConfig()):
-    """n interior draws as arrays: z-chart vectors (n, zdim) as
-    spaces.point_vector gives them, the log proposal density, and log Delta
-    of the defect Im z - Phi(zeta, zeta) = t . e, which is 2 sum_j log t_jj.
-
-    Draws zeta (real, then imaginary parts), x, the log diagonal, then the
-    lower coordinates, each as one (n, k) block, so n = 1 repeats the
-    stream of sample_siegel.
-    """
-    r, m = alg.rank, alg.dim_m
-    zeta = None
-    if alg.siegel_n:
-        shape = (n, alg.size, alg.cols - alg.size)
-        zeta = cfg.sigma_zeta * (rng.normal(size=shape)
-                                 + 1j * rng.normal(size=shape))
-    x = cfg.sigma_x * (rng.standard_cauchy(size=(n, m)) if cfg.cauchy_x
-                       else rng.normal(size=(n, m)))
-    logdiag = cfg.sigma_logdiag * rng.normal(size=(n, r))
-    lower = cfg.sigma_lower * rng.normal(size=(n, m - r))
-    c = np.concatenate([np.exp(logdiag), lower], axis=1)
-    y = (c[:, :, None] * c[:, None, :]).reshape(n, -1) @ _orbit_form(alg)
-    chart = eja._chart(alg)
-    if alg.siegel_n:
-        ZZ = zeta @ zeta.conj().transpose(0, 2, 1)
-        y = y + (ZZ.reshape(n, -1) @ chart["unembed"]).real
-        zeta = zeta.reshape(n, -1)
-    V = (x + 1j * y) @ chart["to_z"]
-    if zeta is not None:
-        V = np.concatenate([V, zeta], axis=1)
-    return (V, _proposal_logq(alg, cfg, zeta, x, logdiag, lower),
-            2.0 * logdiag.sum(axis=1))
-
-
-def sample_siegel(alg: AlgebraDescriptor, rng: np.random.Generator,
-                  cfg: SiegelSamplerConfig = SiegelSamplerConfig()):
-    """Draw (point, log proposal density); the point is always interior.
-    Row 0 of sample_siegel_batch with n = 1."""
-    V, logq, _ = sample_siegel_batch(alg, 1, rng, cfg)
-    return siegel_from_vector(alg, V[0]), float(logq[0])
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +655,17 @@ def _u2_rows(n: int, rng: np.random.Generator):
     return first, second
 
 
+def _frames(k: int, d: int, n: int, rng: np.random.Generator):
+    """n Haar frames of k orthonormal vectors in C^d as the rows Q[j], each
+    (d, n) with the sample index last: _u2_rows for U(2), else
+    _orthonormal_rows of complex Gaussians. For k = d row j of sample b,
+    Q[j][:, b], is row j of a Haar unitary."""
+    if k == d == 2:
+        return _u2_rows(n, rng)
+    G = rng.standard_normal(size=(k, d, 2 * n)).view(complex)
+    return _orthonormal_rows(G)
+
+
 def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """z-chart rows of k . sum_j t_j c_j, one Haar k of the full K per row of
@@ -799,7 +673,7 @@ def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
 
     Rank 1: K is transitive on each sphere of the ball, so a row is t times
     a sphere_rows direction. Otherwise, with Q a stack of Haar frames (rows
-    Q[j]; _u2_rows for U(2), else _orthonormal_rows of Gaussians): sym_real
+    Q[j], from _frames): sym_real
     Z = Q^T diag(t) Q = sum_j t_j Q[j] Q[j]^T (u Z u^T, u in U(r)), whose
     chart is the upper entries row by row, the off-diagonal ones times
     sqrt 2 (eja._coord_matrices); herm_complex Z = U^T diag(t) V with V the
@@ -814,13 +688,6 @@ def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
     """
     n, r = t.shape
     t = t.T
-
-    def frames(k: int, d: int):
-        if k == d == 2:
-            return _u2_rows(n, rng)
-        G = rng.standard_normal(size=(k, d, 2 * n)).view(complex)
-        return _orthonormal_rows(G)
-
     if r == 1:
         return t[0][:, None] * sphere_rows(alg.zdim, n, rng)
     if alg.family == "spin":
@@ -833,13 +700,13 @@ def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
         return u.T
     if alg.family == "herm_complex":
         p = alg.size
-        U = frames(p, p)
-        V = frames(p, alg.cols)
+        U = _frames(p, p, n, rng)
+        V = _frames(p, alg.cols, n, rng)
         Z = sum((U[j] * t[j])[:, None] * V[j][None] for j in range(p))
         return np.concatenate([Z[:, :p].reshape(p * p, n),
                                Z[:, p:].reshape(-1, n)]).T
     if alg.family == "sym_real":
-        Q = frames(r, r)
+        Q = _frames(r, r, n, rng)
         a, b = np.triu_indices(r)
         P = np.empty((len(a), n), dtype=complex)
         for k, (i, j) in enumerate(zip(a, b)):
@@ -852,10 +719,66 @@ def _polar_rows(alg: AlgebraDescriptor, t: np.ndarray,
             if i != j:
                 P[k] *= math.sqrt(2.0)
         return P.T
-    Q = frames(2 * r, 2 * r)
+    Q = _frames(2 * r, 2 * r, n, rng)
     a, b = np.triu_indices(2 * r, k=1)
     return sum(t[j] * (Q[2 * j][a] * Q[2 * j + 1][b]
                        - Q[2 * j + 1][a] * Q[2 * j][b]) for j in range(r)).T
+
+
+def _spin_lambda(m: int) -> np.ndarray:
+    """Chart -> quadric coordinates: Delta_2 becomes sum q_k^2."""
+    lam = np.zeros((m, m), dtype=complex)
+    lam[0, 0] = 0.5
+    lam[0, 1] = 0.5
+    lam[1, 0] = 0.5 / 1j
+    lam[1, 1] = -0.5 / 1j
+    for k in range(2, m):
+        lam[k, k] = 1.0 / (1j * np.sqrt(2.0))
+    return lam
+
+
+def haar_K(alg: AlgebraDescriptor, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, zdim, zdim) z-chart matrices of n Haar elements of the full
+    isotropy group K, each a complex-linear triple automorphism.
+
+    With u, v Haar unitaries whose rows come from _frames: sym_real
+    Z -> u Z u^T, u in U(r), through the chart's matrix picture;
+    herm_complex Z -> u Z v*, u in U(p), v in U(q), which is
+    u_ik conj(v_jl) on row-major entries, the chart listing the z1 block
+    first, then the half-space block; herm_quaternion A -> u A u^T, u in
+    U(2r), on the skew picture A = J H whose upper entries are the chart, so
+    the matrix is the 2 x 2 minors of u; spin e^(i theta) O, O in O(m), on
+    the quadric coordinates of _spin_lambda.
+    """
+    def unitaries(d: int) -> np.ndarray:
+        return np.moveaxis(np.array(_frames(d, d, n, rng)), -1, 0)
+
+    if alg.family == "sym_real":
+        r = alg.size
+        u = unitaries(r)
+        ch = eja._chart(alg)
+        kron = np.einsum("bik,bjl->bijkl", u, u).reshape(n, r * r, r * r)
+        return (ch["unembed"] @ ch["to_z"]).T @ kron @ (ch["from_z"] @ ch["embed"]).T
+    if alg.family == "herm_complex":
+        p, q = alg.size, alg.cols
+        u, v = unitaries(p), unitaries(q)
+        K = u[:, :, None, :, None] * v.conj()[:, None, :, None, :]  # [b, i, j, k, l]
+        cols = np.concatenate([K[..., :p].reshape(n, p, q, -1),
+                               K[..., p:].reshape(n, p, q, -1)], axis=3)
+        return np.concatenate([cols[:, :, :p].reshape(n, -1, alg.zdim),
+                               cols[:, :, p:].reshape(n, -1, alg.zdim)], axis=1)
+    if alg.family == "herm_quaternion":
+        u = unitaries(2 * alg.size)
+        a, b = np.triu_indices(2 * alg.size, k=1)
+        return (u[:, a][:, :, a] * u[:, b][:, :, b]
+                - u[:, a][:, :, b] * u[:, b][:, :, a])
+    if alg.family == "spin":
+        m = alg.dim_m
+        O = np.moveaxis(_orthonormal_rows(rng.normal(size=(m, m, n))), -1, 0)
+        ph = np.exp(2j * np.pi * rng.uniform(size=n))[:, None, None]
+        lam = _spin_lambda(m)
+        return ph * (np.linalg.inv(lam) @ O @ lam)
+    raise ValueError(f"unsupported family: {alg.family}")
 
 
 def sample_weighted_bounded(alg: AlgebraDescriptor, lam: float, n: int,
@@ -903,6 +826,15 @@ def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
         W = np.concatenate([W, omega], axis=1)
     # log |Delta| in real arithmetic
     return W, 0.5 * np.log(np.square(det.real) + np.square(det.imag))
+
+
+def sample_siegel(alg: AlgebraDescriptor, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """n Siegel z-chart rows (spaces.point_vector per row): the cayley_rows
+    images of n uniform draws on the bounded domain, which are
+    sample_weighted_bounded at lambda = g."""
+    V, _ = sample_weighted_bounded(alg, alg.genus, n, rng)
+    return cayley_rows(alg, V)[0]
 
 
 def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:

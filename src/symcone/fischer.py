@@ -1,5 +1,5 @@
-"""Fischer inner product, Haar sampling on the isotropy group, orbit spans,
-and the projections onto the signature spaces P_s.
+"""Fischer inner product, orbit spans under the isotropy group, and the
+projections onto the signature spaces P_s.
 
 Polynomials live over the full complex chart (dim_m + siegel_n variables,
 the coordinates of BoundedPoint.as_vector). The Fischer pairing is
@@ -8,8 +8,9 @@ and the Gaussian integral, and makes distinct monomials orthogonal.
 
 P_s is spanned by the orbit of Delta^s under the isotropy group K, and its
 dimension has a closed form (dim_Ps). Its basis is built and kept as arrays
-over the monomial table of degree |s|: for dim P_s + MARGIN Haar samples k,
-every factor Delta_j of Delta^s = prod_j Delta_j^(s_j - s_(j+1)) is composed
+over the monomial table of degree |s|: for one stack of dim P_s + MARGIN
+Haar samples k of the full K (domains.haar_K, one batched draw), every
+factor Delta_j of Delta^s = prod_j Delta_j^(s_j - s_(j+1)) is composed
 with the matrices of k (its monomials are products of rows of the matrix),
 the powers and products are taken as dense stacks, and the rows are
 Fischer-weighted, so Euclidean and Fischer geometry agree. The top dim P_s
@@ -19,7 +20,6 @@ Pairings against P_s are then one matrix-vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -35,7 +35,7 @@ from .poly import homogeneous_monomials  # noqa: F401  (part of this module's AP
 
 RANK_TOL = 1e-8
 # Haar samples beyond dim P_s per basis; with 8 the smallest kept singular
-# value stays >= 5e-4 of the largest on every family tested (0 fell to 4.8e-7)
+# value stays >= 6e-3 of the largest on every family tested (0 fell to 1.8e-4)
 MARGIN = 8
 SEED = 828131
 
@@ -61,103 +61,6 @@ def fischer_inner(p: SparsePolynomial, q: SparsePolynomial) -> complex:
 
 def fischer_norm(p: SparsePolynomial) -> float:
     return float(np.sqrt(max(fischer_inner(p, p).real, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Haar samples of the isotropy action
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KSample:
-    """Complex-linear triple automorphism of Z in the chart coordinates."""
-    alg: AlgebraDescriptor
-    matrix: np.ndarray
-
-
-def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    G = rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(G)
-    return Q * np.sign(np.diag(R))
-
-
-def _haar_symplectic_unitary(p: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar element of U(2p) with the quaternionic block structure.
-
-    Gram-Schmidt over the quaternions in the complex embedding: 2x2 blocks
-    are quaternions, inner products of block columns are again quaternions,
-    and the squared norm of a block column is a real multiple of I_2.
-    """
-    n = 2 * p
-    q = rng.normal(size=(p, p, 4))
-    X = np.einsum("ijk,kab->iajb", q, np.array(eja._QUNITS)).reshape(n, n)
-    Q = np.zeros((n, n), dtype=complex)
-    for j in range(p):
-        v = X[:, 2 * j: 2 * j + 2].copy()
-        for k in range(j):
-            u = Q[:, 2 * k: 2 * k + 2]
-            v -= u @ (u.conj().T @ v)
-        nrm = np.sqrt(np.trace(v.conj().T @ v).real / 2.0)
-        Q[:, 2 * j: 2 * j + 2] = v / nrm
-    return Q
-
-
-def _spin_lambda(m: int) -> np.ndarray:
-    """Chart -> quadric coordinates: Delta_2 becomes sum q_k^2."""
-    lam = np.zeros((m, m), dtype=complex)
-    lam[0, 0] = 0.5
-    lam[0, 1] = 0.5
-    lam[1, 0] = 0.5 / 1j
-    lam[1, 1] = -0.5 / 1j
-    for k in range(2, m):
-        lam[k, k] = 1.0 / (1j * np.sqrt(2.0))
-    return lam
-
-
-def identity_K(alg: AlgebraDescriptor) -> KSample:
-    return KSample(alg, np.eye(alg.dim_m + alg.siegel_n, dtype=complex))
-
-
-def haar_sample_K(alg: AlgebraDescriptor, rng: np.random.Generator) -> KSample:
-    """One Haar sample of the stabilizer of 0 acting on the chart."""
-    if alg.family == "herm_complex":
-        # Z -> u Z v*, which is kron(u, conj v) on row-major entries; the
-        # chart lists the z1 block first, then the half-space block
-        p, q = alg.size, alg.cols
-        u = domains._haar_unitary(p, rng)
-        v = domains._haar_unitary(q, rng)
-        K = u[:, None, :, None] * v.conj()[None, :, None, :]  # [i, j, k, l]
-        cols = np.concatenate([K[..., :p].reshape(p, q, -1),
-                               K[..., p:].reshape(p, q, -1)], axis=2)
-        return KSample(alg, np.concatenate([cols[:, :p].reshape(-1, alg.zdim),
-                                            cols[:, p:].reshape(-1, alg.zdim)]))
-    if alg.family == "sym_real":
-        # Z -> ph u Z u^T, through the chart's matrix picture
-        u = _haar_orthogonal(alg.size, rng)
-        ph = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        ch = eja._chart(alg)
-        z_to_flat = ch["from_z"] @ ch["embed"]
-        flat_to_z = ch["unembed"] @ ch["to_z"]
-        return KSample(alg, ph * (z_to_flat @ np.kron(u, u).T @ flat_to_z).T)
-    if alg.family == "herm_quaternion":
-        # chart coordinates are the upper entries of the skew picture S; the
-        # quaternionic conjugation H -> u H u* reads S -> conj(u) S u*, whose
-        # matrix on the upper entries is the 2 x 2 minors of conj(u)
-        u = _haar_symplectic_unitary(alg.size, rng)
-        ph = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        a, b = np.triu_indices(2 * alg.size, k=1)
-        ub = u.conj()
-        return KSample(alg, ph * (ub[np.ix_(a, a)] * ub[np.ix_(b, b)]
-                                  - ub[np.ix_(a, b)] * ub[np.ix_(b, a)]))
-    if alg.family == "spin":
-        lam = _spin_lambda(alg.dim_m)
-        R = _haar_orthogonal(alg.dim_m, rng)
-        ph = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-        return KSample(alg, np.linalg.solve(lam, ph * R @ lam))
-    raise ValueError(f"unsupported family: {alg.family}")
-
-
-def k_apply(k: KSample, p: "domains.BoundedPoint") -> "domains.BoundedPoint":
-    return domains.bounded_from_vector(k.alg, k.matrix @ p.as_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +134,10 @@ def _composed_rows(factors: Sequence[Tuple[SparsePolynomial, int]],
 
 
 def orbit_span(factors: Sequence[Tuple[SparsePolynomial, int]],
-               samples: Sequence[KSample],
+               samples: np.ndarray,
                dim: int) -> Tuple[np.ndarray, Tuple[float, float]]:
-    """Orthonormal basis of the span of {g o k}, g = prod_j p_j^(e_j), whose
+    """Orthonormal basis of the span of {g o k}, g = prod_j p_j^(e_j), over
+    the (B, n, n) stack of chart matrices k (domains.haar_K), whose
     dimension is dim, and the singular gap (sv_dim, sv_(dim+1)) / sv_1.
 
     factors are the (p_j, e_j), each p_j a nonzero homogeneous polynomial.
@@ -242,12 +146,12 @@ def orbit_span(factors: Sequence[Tuple[SparsePolynomial, int]],
     Fischer pairing of two basis elements is the dot product of their rows.
     A numerical rank other than dim raises with the singular values.
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("need at least one isotropy sample")
     factors = [(p, int(e)) for p, e in factors]
     if sum(_homogeneous_degree(p) * e for p, e in factors) == 0:
         return np.ones((1, 1)), (1.0, 0.0)
-    A = _composed_rows(factors, np.array([k.matrix for k in samples]))
+    A = _composed_rows(factors, np.asarray(samples))
     _, sv, Vh = np.linalg.svd(A, full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0]))
     if rank != dim:
@@ -289,7 +193,7 @@ class PsProjector:
         if s not in self._bases:
             dim = self.dim(s)
             rng = self._rng_for(s)
-            samples = [haar_sample_K(self.alg, rng) for _ in range(dim + MARGIN)]
+            samples = domains.haar_K(self.alg, dim + MARGIN, rng)
             rows, gap = orbit_span(signature_factors(self.alg, s), samples, dim)
             self._bases[s] = rows
             self.spans[s] = SpanRecord(len(samples), *gap)

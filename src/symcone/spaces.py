@@ -231,15 +231,15 @@ def wallach_search(lam: float, alg: AlgebraDescriptor, trials: int,
                    ) -> GramReport:
     """Worst Gram report over random point configurations.
 
-    Mixes diffuse configurations (uniform on the bounded domain, or the
-    Siegel proposal sampler) with tight +/- pair clusters; the clusters are
-    what exposes the sign failures strictly inside the continuous-part gaps.
+    Mixes diffuse configurations (uniform on the bounded domain, or their
+    Cayley images from one domains.sample_siegel call) with tight +/- pair
+    clusters; the clusters are what exposes the sign failures strictly
+    inside the continuous-part gaps.
     Stops at the first NotPSD witness.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     worst: Optional[GramReport] = None
-    cfg = domains.SiegelSamplerConfig() if realization == "siegel" else None
     for _ in range(trials):
         pts = None
         if rng.uniform() < 0.5:
@@ -247,7 +247,8 @@ def wallach_search(lam: float, alg: AlgebraDescriptor, trials: int,
         if pts is None:
             n = int(rng.integers(1, MAX_DIFFUSE_POINTS + 1))
             if realization == "siegel":
-                pts = [domains.sample_siegel(alg, rng, cfg)[0] for _ in range(n)]
+                pts = [domains.siegel_from_vector(alg, v)
+                       for v in domains.sample_siegel(alg, n, rng)]
             else:
                 pts = [domains.sample_bounded(alg, rng) for _ in range(n)]
         rep = psd_verdict(lam, pts)

@@ -175,7 +175,8 @@ def test_07_derivative_intertwining():
             assert spaces.intertwine_check_disc(phi, f, lam, pts) < 1e-9
     lam = SR2.dim_m / SR2.rank - 2.0
     maps = [rand_affine(SR2, rng) for _ in range(5)]
-    tpts = [domains.sample_siegel(SR2, rng)[0] for _ in range(6)]
+    tpts = [domains.siegel_from_vector(SR2, v)
+            for v in domains.sample_siegel(SR2, 6, rng)]
     f = dense_poly(3, 4, rng)
     assert spaces.intertwine_check_tube(SR2, f, lam, maps, tpts) < 1e-8
 
@@ -234,7 +235,7 @@ def test_09_geometry_suite():
     # translations leave Im z - Phi(zeta) fixed; triangular maps conjugate it
     rng = np.random.default_rng(902)
     for _ in range(20):
-        p = domains.sample_siegel(SR2, rng)[0]
+        p = domains.siegel_from_vector(SR2, domains.sample_siegel(SR2, 1, rng)[0])
         d0 = domains.siegel_defect(p)
         x0 = Element(SR2, rng.normal(size=3))
         hp = domains.heisenberg_apply(SR2, None, x0, p)
@@ -250,7 +251,8 @@ def test_09_geometry_suite():
     # the weighted sup estimator is carried exactly by the lambda-action
     lam = 4.0
     f = spaces.siegel_kernel_atom(lam, domains.siegel_base_point(SR2))
-    grid = [domains.sample_siegel(SR2, rng)[0] for _ in range(25)]
+    grid = [domains.siegel_from_vector(SR2, v)
+            for v in domains.sample_siegel(SR2, 25, rng)]
     base = spaces.sup_norm_max_space(f, lam, grid)
     for _ in range(3):
         phi = rand_affine(SR2, rng)

@@ -36,8 +36,7 @@ def rand_bounded(alg, rng, radius=0.9):
 
 
 def rand_siegel(alg, rng):
-    p, _ = domains.sample_siegel(alg, rng)
-    return p
+    return domains.siegel_from_vector(alg, domains.sample_siegel(alg, 1, rng)[0])
 
 
 def origin(alg):
@@ -382,6 +381,24 @@ def test_mobius_identity_and_involution():
         assert domains.in_bounded_domain(once, tol=0.0)
 
 
+@pytest.mark.parametrize("alg", [DISC, BALL2, eja.herm_complex(1, 12)], ids=str)
+def test_mobius_sample_radius_law(alg):
+    # b uniform in the radius-0.8 ball of C^d: P(|b| <= 0.8 r) = r^(2d), so
+    # at r = p^(1/(2d)) the share of draws is p within 5 standard errors; the
+    # unitary part is unitary
+    rng = np.random.default_rng(41)
+    n, d = 1000, alg.zdim
+    maps = [domains.mobius_sample(alg, rng) for _ in range(n)]
+    radius = np.array([np.linalg.norm(phi.b) for phi in maps]) / 0.8
+    assert radius.max() < 1.0
+    for p in (0.1, 0.5, 0.9):
+        share = np.mean(radius <= p ** (0.5 / d))
+        assert abs(share - p) <= 5 * np.sqrt(p * (1 - p) / n), p
+    for phi in maps[:20]:
+        U = phi.unitary
+        assert np.abs(U.conj().T @ U - np.eye(d)).max() < 1e-12
+
+
 def test_mobius_jacobian_disc_value_and_fd():
     b = np.array([0.3 - 0.4j])
     phi = domains.MobiusMap(DISC, b, -np.eye(1))  # z -> (z - b)/(1 - conj(b) z)
@@ -647,113 +664,14 @@ def test_bergman_constant_closed_forms():
         domains.bergman_constant(eja.sym_real(2), 2.0)
 
 
-def test_sample_siegel_density_consistency():
-    cfg = domains.SiegelSamplerConfig()
-    for alg in ALGS:
-        for _ in range(10):
-            p, logd = domains.sample_siegel(alg, RNG, cfg)
-            assert domains.in_siegel_domain(p, tol=0.0)
-            again = domains.siegel_proposal_logdensity(p, cfg)
-            assert again == pytest.approx(logd, abs=1e-8)
-            assert np.isfinite(logd)
-
-
-def test_sample_siegel_cauchy_tail_config():
-    cfg = domains.SiegelSamplerConfig(cauchy_x=True, sigma_x=0.5)
-    p, logd = domains.sample_siegel(DISC, RNG, cfg)
-    assert domains.in_siegel_domain(p, tol=0.0)
-    assert domains.siegel_proposal_logdensity(p, cfg) == pytest.approx(logd, abs=1e-9)
-
-
-@pytest.mark.parametrize("cfg", [
-    domains.SiegelSamplerConfig(),
-    domains.SiegelSamplerConfig(cauchy_x=True),
-], ids=["gauss", "cauchy"])
-def test_sample_siegel_batch_matches_per_point_density(cfg):
-    # each row's log density and log Delta of the defect against the
-    # per-point formulas (Cholesky recovery, minor polynomial)
-    rng = np.random.default_rng(17)
-    for alg in ALGS + [eja.herm_complex(3), eja.herm_quaternion(3)]:
-        V, logq, logdelta = domains.sample_siegel_batch(alg, 10, rng, cfg)
-        assert V.shape == (10, alg.zdim)
-        for v, lq, ld in zip(V, logq, logdelta):
-            p = domains.siegel_from_vector(alg, v)
-            assert domains.in_siegel_domain(p, tol=0.0)
-            want = domains.siegel_proposal_logdensity(p, cfg)
-            assert lq == pytest.approx(want, rel=1e-12, abs=1e-12)
-            want = cones.delta_j(domains.siegel_defect(p), alg.rank)
-            assert np.exp(ld) == pytest.approx(want, rel=1e-12)
-
-
-def test_sample_siegel_is_row_zero_of_a_batch():
-    cfg = domains.SiegelSamplerConfig(cauchy_x=True)
-    for alg in ALGS:
-        p, logq = domains.sample_siegel(alg, np.random.default_rng(5), cfg)
-        V, lq, _ = domains.sample_siegel_batch(alg, 1, np.random.default_rng(5), cfg)
-        q = domains.siegel_from_vector(alg, V[0])
-        assert np.array_equal(p.z.coords, q.z.coords)
-        assert (p.zeta is None) == (q.zeta is None)
-        assert p.zeta is None or np.array_equal(p.zeta, q.zeta)
-        assert logq == lq[0]
-
-
 def test_sample_siegel_draw_order():
-    # zeta (real, then imaginary parts), x, log diagonal, lower coordinates
-    alg = eja.herm_complex(2, 3)
-    raw = np.random.default_rng(8)
-    zeta = raw.normal(size=(2, 1)) + 1j * raw.normal(size=(2, 1))
-    x = raw.normal(size=4)
-    theta = np.concatenate([raw.normal(size=2), raw.normal(size=2)])
-    y = (cones.t_action(domains._triangular_from_params(alg, theta),
-                        eja.identity(alg))
-         + domains.phi_form(alg, zeta, zeta).real_part())
-    p, _ = domains.sample_siegel(alg, np.random.default_rng(8))
-    assert np.allclose(p.zeta, zeta, rtol=0, atol=1e-14)
-    assert np.allclose(p.z.coords, x + 1j * y.coords, rtol=0, atol=1e-13)
-
-
-def test_disc_proposal_density_closed_form():
-    # x ~ N(0, sx), y lognormal: log y ~ N(0, 2 sd)
-    cfg = domains.SiegelSamplerConfig(sigma_x=1.3, sigma_logdiag=0.8)
-    p, logd = domains.sample_siegel(DISC, np.random.default_rng(3), cfg)
-    x = p.z.coords[0].real
-    y = p.z.coords[0].imag
-    want = (-0.5 * (x / 1.3) ** 2 - np.log(1.3 * np.sqrt(2 * np.pi))
-            - (np.log(y)) ** 2 / (2 * (2 * 0.8) ** 2)
-            - np.log(y * 2 * 0.8 * np.sqrt(2 * np.pi)))
-    assert logd == pytest.approx(want, abs=1e-10)
-
-
-def with_wide_blocks(seed):
-    """ALGS with the module RNG, then two layouts with several strictly lower
-    blocks per row with a local generator, so other tests draw as before."""
-    yield from ((alg, RNG) for alg in ALGS)
-    rng = np.random.default_rng(seed)
-    for alg in (eja.herm_complex(3), eja.herm_quaternion(3)):
-        yield alg, rng
-
-
-def test_triangular_param_roundtrip():
-    for alg, rng in with_wide_blocks(31):
-        theta = rng.normal(size=alg.dim_m)
-        t = domains._triangular_from_params(alg, theta)
-        back = domains._triangular_params(t)
-        assert np.allclose(back, theta, atol=1e-12)
-
-
-def test_orbit_jacobian_matches_fd():
-    for alg, rng in with_wide_blocks(32):
-        theta = 0.4 * rng.normal(size=alg.dim_m)
-        t = domains._triangular_from_params(alg, theta)
-        h = 1e-6
-        J = np.zeros((alg.dim_m, alg.dim_m))
-        for k in range(alg.dim_m):
-            dt = np.zeros(alg.dim_m)
-            dt[k] = h
-            yp = cones.t_action(domains._triangular_from_params(alg, theta + dt),
-                                eja.identity(alg)).coords
-            ym = cones.t_action(domains._triangular_from_params(alg, theta - dt),
-                                eja.identity(alg)).coords
-            J[:, k] = (yp - ym) / (2 * h)
-        want = abs(np.linalg.det(J))
-        assert domains.orbit_jacobian(t) == pytest.approx(want, rel=1e-5)
+    # the Cayley images of the uniform draws of the same stream, every row
+    # inside the Siegel domain
+    for alg in WEIGHTED:
+        W = domains.sample_siegel(alg, 20, np.random.default_rng(8))
+        V, _ = domains.sample_weighted_bounded(alg, alg.genus, 20,
+                                               np.random.default_rng(8))
+        assert np.array_equal(W, domains.cayley_rows(alg, V)[0]), alg
+        for w in W:
+            assert domains.in_siegel_domain(domains.siegel_from_vector(alg, w),
+                                            tol=0.0), alg

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symcone import cones, domains, eja, fischer, wallach
-from symcone.poly import SparsePolynomial, monomial_table
+from symcone.poly import SparsePolynomial, monomial_table, weighted_parts
 
 RNG = np.random.default_rng(20240815)
 
@@ -112,27 +112,36 @@ def test_fischer_gaussian_monte_carlo():
 ALGS = [BALL2, HC23, SR2, eja.sym_real(3), HQ2, SP4, eja.spin_factor(5)]
 
 
+def k_apply(k, p):
+    """The point k . p for a chart matrix k of domains.haar_K."""
+    return domains.bounded_from_vector(p.alg, k @ p.as_vector())
+
+
 def test_identity_is_valid_sample():
+    # the identity chart matrix as the only sample: the span is g's own
+    # line, the unit multiple of g's Fischer-weighted coefficients
     for alg in ALGS:
-        k = fischer.identity_K(alg)
-        p = rand_bounded(alg, 0.6)
-        q = fischer.k_apply(k, p)
-        assert np.allclose(q.as_vector(), p.as_vector())
+        s = (2,) + (1,) * (alg.rank - 1)
+        g = fischer.delta_power_poly(alg, s)
+        rows, _ = fischer.orbit_span(fischer.signature_factors(alg, s),
+                                     np.eye(alg.zdim, dtype=complex)[None], 1)
+        want = weighted_parts(g, sum(s))[sum(s)]
+        want = want / np.linalg.norm(want)
+        assert abs(abs(np.vdot(rows[0], want)) - 1.0) < 1e-12, alg
 
 
 def test_haar_chart_unitary():
     for alg in ALGS:
-        k = fischer.haar_sample_K(alg, RNG)
-        M = k.matrix
-        assert np.linalg.norm(M.conj().T @ M - np.eye(M.shape[0])) < 1e-12
+        for M in domains.haar_K(alg, 4, RNG):
+            assert np.linalg.norm(M.conj().T @ M - np.eye(M.shape[0])) < 1e-12
 
 
 def test_haar_preserves_spectral_norm():
     for alg in ALGS:
-        k = fischer.haar_sample_K(alg, RNG)
+        k = domains.haar_K(alg, 1, RNG)[0]
         for _ in range(100 // len(ALGS) + 1):
             p = rand_bounded(alg, RNG.uniform(0.2, 0.95))
-            q = fischer.k_apply(k, p)
+            q = k_apply(k, p)
             assert abs(domains.spectral_norm(p) - domains.spectral_norm(q)) < 1e-10
 
 
@@ -148,12 +157,12 @@ def _chart_of_full(alg, M):
 
 def test_haar_preserves_triple_product():
     for alg in ALGS:
-        k = fischer.haar_sample_K(alg, RNG)
+        k = domains.haar_K(alg, 1, RNG)[0]
         d = alg.dim_m + alg.siegel_n
         for _ in range(3):
             vs = [RNG.normal(size=d) + 1j * RNG.normal(size=d) for _ in range(3)]
             ps = [domains.bounded_from_vector(alg, v) for v in vs]
-            ks = [fischer.k_apply(k, p) for p in ps]
+            ks = [k_apply(k, p) for p in ps]
             if alg.siegel_n:
                 T1 = eja.triple_product_full(alg, *[p.full_matrix() for p in ps])
                 T2 = eja.triple_product_full(alg, *[p.full_matrix() for p in ks])
@@ -163,28 +172,42 @@ def test_haar_preserves_triple_product():
                 T2 = eja.triple_product(ks[0].z1, ks[1].z1, ks[2].z1)
                 v1 = eja.to_zchart(T1.as_complex())
                 v2 = eja.to_zchart(T2.as_complex())
-            assert np.linalg.norm(k.matrix @ v1 - v2) < 1e-9
+            assert np.linalg.norm(k @ v1 - v2) < 1e-9
 
 
 def test_haar_entry_mean_vanishes():
     # Haar symmetry: E[k] = 0 since the phase subgroup averages to zero
     rng = np.random.default_rng(313)
     N = 10_000
-    acc = np.zeros((2, 2), dtype=complex)
-    sq = np.zeros((2, 2))
-    for _ in range(N):
-        M = fischer.haar_sample_K(BALL2, rng).matrix
-        acc += M
-        sq += np.abs(M) ** 2
-    mean = acc / N
-    std = np.sqrt(np.maximum(sq / N - np.abs(mean) ** 2, 0.0))
+    M = domains.haar_K(BALL2, N, rng)
+    mean = M.mean(axis=0)
+    std = np.sqrt(np.maximum((np.abs(M) ** 2).mean(axis=0) - np.abs(mean) ** 2, 0.0))
     assert np.all(np.abs(mean) < 3.0 * std / np.sqrt(N))
+
+
+def test_haar_K_is_the_full_group():
+    # Z = k . c_1 on sym_real(2): under the full K = U(2), Z_11 = u_11^2 and
+    # |u_11|^2 is uniform, so E|Z_11|^2 = 1/3; O(2) U(1) would give 3/8, 20
+    # standard errors away at 20 000 draws. On herm_quaternion(2), every
+    # E|Z_k|^2 against the polar draws k . c_1 of the same full K
+    n = 20_000
+    rng = np.random.default_rng(317)
+    c1 = eja.to_zchart(eja.standard_frame(SR2)[0])
+    x = np.abs(domains.haar_K(SR2, n, rng) @ c1)[:, 0] ** 2
+    assert abs(x.mean() - 1.0 / 3.0) <= 5 * x.std() / np.sqrt(n)
+    c1 = eja.to_zchart(eja.standard_frame(HQ2)[0])
+    x = np.abs(domains.haar_K(HQ2, n, rng) @ c1) ** 2
+    t = np.zeros((n, HQ2.rank))
+    t[:, 0] = 1.0
+    y = np.abs(domains._polar_rows(HQ2, t, rng)) ** 2
+    se = np.sqrt((x.var(axis=0) + y.var(axis=0)) / n)
+    assert np.all(np.abs(x.mean(axis=0) - y.mean(axis=0)) <= 5 * se)
 
 
 def test_haar_rejects_unknown_family():
     bad = dataclasses.replace(BALL2, family="octonion")
     with pytest.raises(ValueError):
-        fischer.haar_sample_K(bad, RNG)
+        domains.haar_K(bad, 1, RNG)
 
 
 def test_fischer_k_invariance():
@@ -193,10 +216,8 @@ def test_fischer_k_invariance():
         p = rand_poly(nv, 3)
         q = rand_poly(nv, 3)
         base = fischer.fischer_inner(p, q)
-        for _ in range(4):
-            k = fischer.haar_sample_K(alg, RNG)
-            moved = fischer.fischer_inner(p.compose_linear(k.matrix),
-                                          q.compose_linear(k.matrix))
+        for k in domains.haar_K(alg, 4, RNG):
+            moved = fischer.fischer_inner(p.compose_linear(k), q.compose_linear(k))
             assert abs(moved - base) < 1e-9 * max(1.0, abs(base))
 
 
@@ -205,8 +226,7 @@ def test_fischer_k_invariance():
 # ---------------------------------------------------------------------------
 
 def _samples(alg, seed, n=400):
-    rng = np.random.default_rng(seed)
-    return [fischer.haar_sample_K(alg, rng) for _ in range(n)]
+    return domains.haar_K(alg, n, np.random.default_rng(seed))
 
 
 def test_orbit_span_ball_linear():
@@ -231,7 +251,8 @@ def test_orbit_span_determinant_line():
 
 def test_orbit_span_needs_samples():
     with pytest.raises(ValueError):
-        fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)], [], 2)
+        fischer.orbit_span([(SparsePolynomial.variable(2, 0), 1)],
+                           np.zeros((0, 2, 2), dtype=complex), 2)
 
 
 def test_orbit_span_reports_rank_on_failure():
@@ -259,14 +280,13 @@ COMPOSED_FAMILIES = [
 def test_composed_rows_match_compose_linear(alg, top):
     # the dense batch route against the dictionary route, row by row
     rng = np.random.default_rng(61)
-    ks = [fischer.haar_sample_K(alg, rng) for _ in range(3)]
-    mats = np.array([k.matrix for k in ks])
+    mats = domains.haar_K(alg, 3, rng)
     for s in wallach.enumerate_signatures(alg.rank, top):
         rows = fischer._composed_rows(fischer.signature_factors(alg, s), mats)
         table = monomial_table(alg.zdim, sum(s))
         gen = fischer.delta_power_poly(alg, s)
-        for k, row in zip(ks, rows):
-            moved = gen.compose_linear(k.matrix)
+        for k, row in zip(mats, rows):
+            moved = gen.compose_linear(k)
             want = np.array([moved.coeffs.get(a, 0.0) for a in table.monos]) * table.weights
             assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -51,7 +51,7 @@ def rand_affine(alg, rng, spread=0.5):
 
 
 def rand_siegel_grid(alg, rng, n):
-    return [domains.sample_siegel(alg, rng)[0] for _ in range(n)]
+    return [domains.siegel_from_vector(alg, v) for v in domains.sample_siegel(alg, n, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -793,14 +793,12 @@ TUBES = [eja.sym_real(1), eja.sym_real(2), eja.sym_real(3), eja.herm_complex(1),
 
 def test_transport_batch_matches_per_point_evaluator():
     # one batched inverse Cayley transform and log Delta per stack against
-    # inverse_cayley and delta_power_complex point by point, on Cauchy-tailed
-    # proposal draws
+    # inverse_cayley and delta_power_complex point by point, on Siegel draws
     rng = np.random.default_rng(23)
-    cfg = domains.SiegelSamplerConfig(cauchy_x=True)
     for alg in TUBES:
         f = spaces.transport_to_siegel(
             spaces.poly_function(alg, rand_poly(alg.dim_m, 2, rng)), 2.5)
-        V, _, _ = domains.sample_siegel_batch(alg, 8, rng, cfg)
+        V = domains.sample_siegel(alg, 8, rng)
         want = [f(domains.siegel_from_vector(alg, v)) for v in V]
         assert np.allclose(f.batch(V), want, rtol=1e-12, atol=0.0), alg
 
