@@ -26,6 +26,10 @@ routine, _frames, draws the Haar unitary frames behind the polar draws,
 the stacks of K chart matrices of haar_K and the unitary part of
 mobius_sample.
 bounded_from_vector and siegel_from_vector turn one row into a point.
+spectral_norm and in_bounded_domain also take a bare row of a given algebra,
+with the same arithmetic as on its point, so the box rejection of
+sample_bounded and the Gram search's clusters test each proposal's row and
+build a point only for what they keep.
 """
 
 from __future__ import annotations
@@ -127,20 +131,47 @@ def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
 # spectral norm and membership
 # ---------------------------------------------------------------------------
 
-def spectral_norm(p: BoundedPoint) -> float:
-    alg = p.alg
+def spectral_norm(p, alg: Optional[AlgebraDescriptor] = None) -> float:
+    """Spectral norm of a BoundedPoint, or of a chart row of alg (one
+    spaces.point_vector) without building the point.
+
+    Both forms run the same arithmetic on the algebra coordinates
+    v[:dim_m] @ from_z, so they agree bit for bit except where
+    bounded_from_vector would drop an imaginary part below 1e-11 of the
+    coordinates' scale (eja._realify), which a random row all but never has.
+    """
+    if isinstance(p, BoundedPoint):
+        return _spectral_norm(p.alg, p.z1.coords, p.zeta)
+    v = np.asarray(p, dtype=complex)
+    zeta = None
+    if alg.siegel_n:
+        zeta = v[alg.dim_m:].reshape(alg.size, alg.cols - alg.size)
+    return _spectral_norm(alg, v[: alg.dim_m] @ eja._chart(alg)["from_z"], zeta)
+
+
+def _spectral_norm(alg: AlgebraDescriptor, coords: np.ndarray,
+                   zeta: Optional[np.ndarray]) -> float:
+    """Largest singular value of the embedded p x q matrix (z1 | zeta), or
+    the spin closed form, from the algebra coordinates of z1."""
+    chart = eja._chart(alg)
     if alg.family == "spin":
-        u = eja.to_zchart(p.z1.as_complex())
+        u = coords.astype(complex) @ chart["to_z"]
         nsq = float(np.vdot(u, u).real)
         d2 = abs(u[0] * u[1] - 0.5 * np.sum(u[2:] ** 2))
         disc = max(nsq * nsq - 4.0 * d2 * d2, 0.0)
         return float(np.sqrt((nsq + np.sqrt(disc)) / 2.0))
-    sv = np.linalg.svd(p.full_matrix(), compute_uv=False)
+    n = chart["n"]
+    M = (coords @ chart["embed"]).reshape(n, n)
+    if zeta is not None:
+        M = np.concatenate([M, zeta], axis=1)
+    sv = np.linalg.svd(M, compute_uv=False)
     return float(sv[0])
 
 
-def in_bounded_domain(p: BoundedPoint, tol: float = BOUNDARY_TOL) -> bool:
-    return spectral_norm(p) < 1.0 - tol
+def in_bounded_domain(p, tol: float = BOUNDARY_TOL,
+                      alg: Optional[AlgebraDescriptor] = None) -> bool:
+    """Spectral norm below 1 - tol; p is a point or a chart row of alg."""
+    return spectral_norm(p, alg) < 1.0 - tol
 
 
 def phi_form(alg: AlgebraDescriptor, zeta, zeta2) -> Element:
@@ -486,14 +517,15 @@ _BOX_SCALE = {"sym_real": np.sqrt(2.0), "herm_complex": 1.0,
 
 
 def sample_bounded(alg: AlgebraDescriptor, rng: np.random.Generator):
-    """One uniform point of the bounded domain by box rejection."""
+    """One uniform point of the bounded domain by box rejection: each
+    proposal's chart row is tested as it is, and only the accepted one is
+    built into a point."""
     c = _BOX_SCALE[alg.family]
     d = alg.dim_m + alg.siegel_n
     while True:
         v = c * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
-        p = bounded_from_vector(alg, v)
-        if in_bounded_domain(p):
-            return p
+        if in_bounded_domain(v, alg=alg):
+            return bounded_from_vector(alg, v)
 
 
 @dataclass

@@ -109,11 +109,11 @@ def _kernel_value(lam: float, z, w) -> complex:
 
 def gram_matrix(lam: float, points: Sequence) -> np.ndarray:
     n = len(points)
-    vecs = [point_vector(p) for p in points]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(vecs[i] - vecs[j]) < 1e-12:
-                raise ValueError("coincident points give a degenerate Gram matrix")
+    if n > 1:
+        V = np.array([point_vector(p) for p in points])
+        i, j = np.triu_indices(n, k=1)
+        if np.any(np.linalg.norm(V[i] - V[j], axis=1) < 1e-12):
+            raise ValueError("coincident points give a degenerate Gram matrix")
     G = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
@@ -219,9 +219,8 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
             pts.append(base - off)
         if realization == "siegel":
             return [domains.siegel_from_vector(alg, v) for v in pts]
-        cand = [domains.bounded_from_vector(alg, v) for v in pts]
-        if all(domains.in_bounded_domain(p) for p in cand):
-            return cand
+        if all(domains.in_bounded_domain(v, alg=alg) for v in pts):
+            return [domains.bounded_from_vector(alg, v) for v in pts]
         base, eps0 = 0.6 * base, 0.6 * eps0
     return None
 

@@ -106,3 +106,35 @@ def test_benchmark_siegel_configs_reach_bergman_norm_mc():
         got = spaces.bergman_norm_mc(f, lam, alg, 256, np.random.default_rng(5),
                                      realization="siegel", config=cfg)
         assert got == plain
+
+
+# names the tracer still asks for though the package no longer has them;
+# each reads as a count of 0 until the benchmark drops it
+STALE_TRACED = {"fischer.haar_sample_K"}
+
+
+def _traced_names():
+    """Dotted names passed as string literals to the tracer's ids, count and
+    inclusive helpers."""
+    tree = _tree(PERFBENCH / "tracing.py")
+    return {a.value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("ids", "count", "inclusive")
+            for a in node.args
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+
+
+def test_every_traced_name_is_a_symcone_function():
+    # a renamed sample_bounded or in_bounded_domain would silently set
+    # domains.sampler_draws to 0; here it fails instead
+    names = _traced_names()
+    assert {"domains.sample_bounded", "domains.in_bounded_domain"} <= names
+    missing = set()
+    for name in names:
+        layer, *attrs = name.split(".")
+        obj = importlib.import_module(f"symcone.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not inspect.isfunction(obj):
+            missing.add(name)
+    assert missing == STALE_TRACED

@@ -93,6 +93,22 @@ def test_wallach_herm_half_gap(runner):
     assert "pass 1 fail 0" in res.output
 
 
+@pytest.mark.parametrize("family,lam", [
+    (("--family", "sym", "--rank", "2"), "0.25"),
+    (("--family", "spin", "--dim", "4"), "2.5"),
+], ids=["sym2-gap", "spin4-inside"])
+def test_wallach_same_seed_same_bytes(runner, tmp_path, family, lam):
+    # the report echoes its --output path, so both runs write to the same one
+    out = tmp_path / "w.json"
+    blobs = []
+    for _ in range(2):
+        res = invoke(runner, "wallach", *family, "--lambda", lam,
+                     "--trials", "20", "--seed", "11", "--output", str(out))
+        assert res.exit_code == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_wallach_empty_grid_is_usage_error(runner, tmp_path):
     out = tmp_path / "empty.json"
     res = runner.invoke(main, ["wallach", "--family", "sym", "--rank", "2",

@@ -88,6 +88,33 @@ def test_bounded_membership():
         assert domains.in_bounded_domain(BoundedPoint(alg, 0.99 * e))
 
 
+def _box_rows(alg, rng, n):
+    """n proposals of sample_bounded's box, as chart rows."""
+    c, d = domains._BOX_SCALE[alg.family], alg.zdim
+    return c * (rng.uniform(-1, 1, size=(n, d)) + 1j * rng.uniform(-1, 1, size=(n, d)))
+
+
+@pytest.mark.parametrize("alg", ALGS, ids=str)
+def test_spectral_norm_of_a_row_matches_its_point_bitwise(alg):
+    # ALGS holds the rank-2 non-tube herm_complex(2, 3), whose rows carry a
+    # half-space block; half the rows are rescaled to within 1e-13 of the
+    # membership threshold, where a last-bit difference would flip a verdict
+    rng = np.random.default_rng(41)
+    edge = 1.0 - domains.BOUNDARY_TOL
+    rows = _box_rows(alg, rng, 200)
+    for v, t in zip(rows[:100], rng.uniform(-1e-13, 1e-13, 100)):
+        v *= (edge + t) / domains.spectral_norm(v, alg)
+    inside = []
+    for v in rows:
+        p = domains.bounded_from_vector(alg, v)
+        assert domains.spectral_norm(v, alg) == domains.spectral_norm(p)
+        inside.append(domains.in_bounded_domain(v, alg=alg))
+        assert inside[-1] == domains.in_bounded_domain(p)
+    near = np.array([domains.spectral_norm(v, alg) for v in rows[:100]])
+    assert np.abs(near - edge).max() < 2e-13
+    assert 0 < sum(inside[:100]) < 100
+
+
 # ---------------------------------------------------------------------------
 # Phi and Siegel membership
 # ---------------------------------------------------------------------------
@@ -528,6 +555,33 @@ def test_sample_bounded_is_interior():
         for _ in range(5):
             p = domains.sample_bounded(alg, RNG)
             assert domains.in_bounded_domain(p)
+
+
+def _build_then_test(alg, rng):
+    """The box loop that builds every proposal's point before testing it."""
+    c, d = domains._BOX_SCALE[alg.family], alg.zdim
+    while True:
+        v = c * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
+        p = domains.bounded_from_vector(alg, v)
+        if domains.in_bounded_domain(p):
+            return p
+
+
+@pytest.mark.parametrize("alg", ALGS, ids=str)
+def test_sample_bounded_matches_the_build_then_test_loop(alg):
+    # the same points, bit for bit, after the same number of uniform calls;
+    # one point where the box accepts 1 in 10 000 or fewer proposals
+    got_rng, ref_rng = _CountingRng(42), _CountingRng(42)
+    rare = alg in (eja.sym_real(3), eja.spin_factor(5))
+    for _ in range(1 if rare else 4):
+        got = domains.sample_bounded(alg, got_rng)
+        ref = _build_then_test(alg, ref_rng)
+        assert got_rng.calls == ref_rng.calls
+        assert got.z1.coords.dtype == ref.z1.coords.dtype
+        assert np.array_equal(got.z1.coords, ref.z1.coords)
+        assert (got.zeta is None) == (ref.zeta is None)
+        if got.zeta is not None:
+            assert np.array_equal(got.zeta, ref.zeta)
 
 
 # every family the weighted draws and the Cayley rows cover: the tube

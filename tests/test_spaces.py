@@ -75,6 +75,12 @@ def test_gram_disc_negative_two_point_witness():
 def test_gram_coincident_points_rejected():
     with pytest.raises(ValueError):
         spaces.gram_matrix(1.0, [disc_pt(0.1), disc_pt(0.1)])
+    # any pair closer than 1e-12 in the chart, not only neighbours
+    pts = [disc_pt(0.1), disc_pt(-0.2j), disc_pt(0.3), disc_pt(0.1 + 1e-13)]
+    with pytest.raises(ValueError, match="coincident"):
+        spaces.gram_matrix(1.0, pts)
+    pts[-1] = disc_pt(0.1 + 1e-11)
+    assert spaces.gram_matrix(1.0, pts).shape == (4, 4)
 
 
 def test_gram_bergman_parameter_psd():
