@@ -9,13 +9,14 @@ Im z - Phi(zeta, zeta) lies in the open cone.
 
 Kernels carry no normalizing constants: the Siegel kernel is the plain
 Delta^(-lambda) of the polarized argument, and the bounded kernel is
-h(z, w)^(-lambda), so K(z, 0) = 1. Every family computes log h in closed
-form as the sum of log(1 - mu) over the eigenvalues mu of a pencil: Z W*
-for the matrix families, a 2 x 2 closed form for the rank-2 spin factor.
-They lie in the unit disc, so the branch is the continuous one.
+h(z, w)^(-lambda), so K(z, 0) = 1. One routine per picture takes all pairs
+of two stacks of rows (kernel_bounded and kernel_siegel are its 1 x 1 case):
+log_h_pairs sums log(1 - mu) over the eigenvalues mu of a pencil in the unit
+disc (Z W*, or a 2 x 2 closed form on spin), the continuous branch, and
+siegel_log_delta_pairs shares inverse_cayley_rows' right-tube branch rule.
 
-Points travel as stacks of chart vectors (spaces.point_vector per row) where
-Monte Carlo needs many: sample_weighted_bounded draws exactly from
+Points travel as stacks of chart vectors (as_vector per row) where Gram
+matrices and Monte Carlo need many: sample_weighted_bounded draws exactly from
 h(z, z)^(lambda - g) dm over its mass bergman_constant, in polar
 coordinates; sphere_rows draws directions uniform on a sphere; cayley_rows
 carries such rows to the Siegel side with log |Delta(e - z)|, which gives
@@ -79,25 +80,29 @@ class BoundedPoint:
 
     def full_matrix(self) -> np.ndarray:
         """Embedded picture; for herm_complex the full p x q matrix."""
-        if self.alg.family == "herm_complex":
-            return eja.full_matrix(self.z1, self.zeta)
-        return eja.embed_matrix(self.z1)
+        return eja.full_matrix(self.z1, self.zeta)
 
     def as_vector(self) -> np.ndarray:
         """Coordinates as one complex vector (rank-1 domains: the ball)."""
-        v = eja.to_zchart(self.z1.as_complex())
-        if self.zeta is not None:
-            v = np.concatenate([v, self.zeta.ravel()])
-        return v
+        return _join_row(self.z1, self.zeta)
+
+
+def _join_row(z: Element, zeta: Optional[np.ndarray]) -> np.ndarray:
+    """z-chart of z, then the half-space block: a point as one chart row."""
+    v = eja.to_zchart(z.as_complex())
+    return v if zeta is None else np.concatenate([v, zeta.ravel()])
+
+
+def _split_row(alg: AlgebraDescriptor, v) -> tuple:
+    """(z-chart part, half-space block or None) of one chart row."""
+    v = np.asarray(v, dtype=complex)
+    return v[: alg.dim_m], (v[alg.dim_m:].reshape(alg.size, -1)
+                            if alg.siegel_n else None)
 
 
 def bounded_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> BoundedPoint:
-    v = np.asarray(v, dtype=complex)
-    z1 = eja.from_zchart(alg, v[: alg.dim_m])
-    zeta = None
-    if alg.siegel_n:
-        zeta = v[alg.dim_m:].reshape(alg.size, alg.cols - alg.size)
-    return BoundedPoint(alg, z1, zeta)
+    z, zeta = _split_row(alg, v)
+    return BoundedPoint(alg, eja.from_zchart(alg, z), zeta)
 
 
 @dataclass
@@ -112,15 +117,14 @@ class SiegelPoint:
         self.z = self.z.as_complex()
         self.zeta = _halfspace_block(self.alg, self.zeta)
 
+    def as_vector(self) -> np.ndarray:
+        return _join_row(self.z, self.zeta)
+
 
 def siegel_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> SiegelPoint:
-    """Inverse of spaces.point_vector on the Siegel side: z-chart of z, then
-    the half-space block."""
-    v = np.asarray(v, dtype=complex)
-    zeta = None
-    if alg.siegel_n:
-        zeta = v[alg.dim_m:].reshape(alg.size, alg.cols - alg.size)
-    return SiegelPoint(alg, zeta, eja.from_zchart(alg, v[: alg.dim_m]))
+    """Inverse of SiegelPoint.as_vector."""
+    z, zeta = _split_row(alg, v)
+    return SiegelPoint(alg, zeta, eja.from_zchart(alg, z))
 
 
 def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
@@ -142,11 +146,8 @@ def spectral_norm(p, alg: Optional[AlgebraDescriptor] = None) -> float:
     """
     if isinstance(p, BoundedPoint):
         return _spectral_norm(p.alg, p.z1.coords, p.zeta)
-    v = np.asarray(p, dtype=complex)
-    zeta = None
-    if alg.siegel_n:
-        zeta = v[alg.dim_m:].reshape(alg.size, alg.cols - alg.size)
-    return _spectral_norm(alg, v[: alg.dim_m] @ eja._chart(alg)["from_z"], zeta)
+    z, zeta = _split_row(alg, p)
+    return _spectral_norm(alg, z @ eja._chart(alg)["from_z"], zeta)
 
 
 def _spectral_norm(alg: AlgebraDescriptor, coords: np.ndarray,
@@ -243,6 +244,17 @@ def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
     return BoundedPoint(alg, z1, None)
 
 
+def _matrix_rows(alg: AlgebraDescriptor, V: np.ndarray) -> np.ndarray:
+    """Embedded matrices of a stack of z-chart rows of a matrix family: the
+    p x q (z1 | zeta) when the rows carry a half-space block."""
+    chart = eja._chart(alg)
+    M = (V[:, : alg.dim_m] @ chart["from_z"] @ chart["embed"]).reshape(
+        len(V), chart["n"], chart["n"])
+    if V.shape[1] > alg.dim_m:
+        M = np.dstack([M, V[:, alg.dim_m:].reshape(len(V), alg.size, -1)])
+    return M
+
+
 def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
     """(u^(-1), Delta(u)) on a stack of z-chart rows; the inverse is taken
     of the Z_1 part, Delta by the top minor polynomial. U may be
@@ -270,102 +282,116 @@ def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
             x *= q
             np.subtract(ez[k] * tq, x, out=x)
         return X, det
-    M = (X @ chart["from_z"] @ chart["embed"]).reshape(-1, chart["n"], chart["n"])
-    inv = np.linalg.inv(M).reshape(len(X), -1) @ chart["unembed"] @ chart["to_z"]
-    return inv, det
+    inv = np.linalg.inv(_matrix_rows(alg, X)).reshape(len(X), -1)
+    return inv @ chart["unembed"] @ chart["to_z"], det
+
+
+def _log_delta_tube(alg: AlgebraDescriptor, Z: Optional[np.ndarray],
+                    top: Optional[np.ndarray] = None) -> np.ndarray:
+    """Continuous log Delta on a stack Z of z-chart rows (length dim_m) of
+    the right tube {Re z in the open cone}. Ranks 1 and 2 take the principal
+    log of the top minor (top, or evaluated on Z), as cones.log_delta_j does;
+    higher ranks sum the principal logs of the eigenvalues of the matrix
+    picture, in the right half-plane, over the block size, their repeat."""
+    if alg.rank <= 2:
+        if top is None:
+            U = np.pad(Z, ((0, 0), (0, alg.siegel_n)))
+            top = cones.minor_polynomials(alg)[-1].eval(U)
+        # the principal log as log|x| + i arg x: real ufuncs are several
+        # times faster than numpy's complex log
+        return np.log(np.abs(top)) + 1j * np.angle(top)
+    ev = np.linalg.eigvals(_matrix_rows(alg, Z))
+    return np.log(ev).sum(axis=1) / eja._block_size(alg)
 
 
 def inverse_cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
     """inverse_cayley on a stack of tube-family z-chart rows w, as z-chart
-    rows, with log Delta((w + ie)/2i) on the continuous branch.
-
-    z = e - 2i u^(-1) for u = w + ie. Ranks 1 and 2 take the principal log
-    of Delta(u / 2i), as cones.log_delta_j does. Other ranks sum the
-    principal logs of the eigenvalues of u / 2i, which lie in the right
-    half-plane (the hermitian part (Im w + e)/2 is positive), divided by the
-    block size.
-    """
+    rows z = e - 2i u^(-1), u = w + ie, with log Delta(u / 2i) on the
+    continuous branch of _log_delta_tube."""
     ez = eja.to_zchart(eja.identity(alg))
     U = np.asarray(V, dtype=complex) + 1j * ez
-    if alg.rank <= 2:
-        inv, det = _jordan_inverse_rows(alg, U)
-        # the principal log as log|x| + i arg x: real ufuncs are several
-        # times faster than numpy's complex log
-        x = det / (2j) ** alg.rank
-        return ez - 2j * inv, np.log(np.abs(x)) + 1j * np.angle(x)
-    chart = eja._chart(alg)
-    M = (U @ chart["from_z"] @ chart["embed"]).reshape(-1, chart["n"], chart["n"])
-    inv = np.linalg.inv(M).reshape(len(U), -1) @ chart["unembed"] @ chart["to_z"]
-    logdet = np.log(np.linalg.eigvals(M / 2j)).sum(axis=1) / eja._block_size(alg)
-    return ez - 2j * inv, logdet
+    Z = None if alg.rank <= 2 else U / 2j
+    inv, det = _jordan_inverse_rows(alg, U)
+    return ez - 2j * inv, _log_delta_tube(alg, Z, det / (2j) ** alg.rank)
 
 
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
-def kernel_siegel(lam: float, p: SiegelPoint, q: SiegelPoint) -> complex:
-    """Delta^(-lambda)((z - conj z') / 2i - Phi(zeta, zeta'))."""
-    alg = p.alg
-    if alg != q.alg:
-        raise ValueError("mismatched algebras")
-    arg = Element(alg, (p.z.coords - np.conj(q.z.coords)) / 2j)
-    if alg.siegel_n:
-        arg = arg - phi_form(alg, p.zeta, q.zeta)
-    s = -lam * np.ones(alg.rank)
-    return cones.delta_power_complex(arg, s)
-
-
-def _spin_pencil(z: BoundedPoint, w: BoundedPoint) -> tuple[complex, complex]:
-    """(a + b, a b) with h(z, w) = (1 - a)(1 - b) on the rank-2 spin factor:
-    <u, v> and Delta(u) conj Delta(v) in the unitary z-chart."""
-    u = eja.to_zchart(z.z1.as_complex())
-    v = eja.to_zchart(w.z1.as_complex())
-    d2 = lambda c: c[0] * c[1] - 0.5 * np.sum(c[2:] ** 2)
-    return complex(np.vdot(v, u)), complex(d2(u) * np.conj(d2(v)))
-
-
-def _log_generic_norm(z: BoundedPoint, w: BoundedPoint) -> complex:
-    """Continuous log h(z, w): the sum of log(1 - mu) over the pencil
-    eigenvalues mu, zero at w = 0.
-
-    mu runs over the eigenvalues of Z W* for the matrix families and over
-    the two roots a, b for spin. Inside the domain they lie in the unit
-    disc, so the sum is the continuous branch. The quaternionic complex
-    picture doubles every eigenvalue, so its sum is halved.
+def log_h_pairs(alg: AlgebraDescriptor, V, W) -> np.ndarray:
+    """(len(V), len(W)) continuous log h(v_i, w_j) over all pairs of two
+    stacks of bounded z-chart rows: the sum of log(1 - mu) over the pencil
+    eigenvalues mu, those of Z W* (one stacked eigvals; halved for
+    quaternions, whose complex picture doubles each) or, on spin, the roots
+    of mu^2 - <u, v> mu + Delta(u) conj Delta(v). Inside the domain they lie
+    in the unit disc; one on or outside the unit circle raises ValueError.
     """
-    if z.alg.family == "spin":
-        tr, det = _spin_pencil(z, w)
-        root = np.sqrt(tr * tr / 4.0 - det)
-        mu = np.array([tr / 2.0 + root, tr / 2.0 - root])
+    V, W = np.asarray(V, dtype=complex), np.asarray(W, dtype=complex)
+    if alg.family == "spin":
+        d2 = lambda U: U[:, 0] * U[:, 1] - 0.5 * np.sum(U[:, 2:] ** 2, axis=1)
+        tr = V @ W.conj().T
+        root = np.sqrt(tr * tr / 4.0 - d2(V)[:, None] * np.conj(d2(W)))
+        mu = np.stack([tr / 2.0 + root, tr / 2.0 - root], axis=-1)
     else:
-        mu = np.linalg.eigvals(z.full_matrix() @ w.full_matrix().conj().T)
+        Z, X = _matrix_rows(alg, V), _matrix_rows(alg, W)
+        mu = np.linalg.eigvals(Z[:, None] @ X.conj().transpose(0, 2, 1))
     if np.max(np.abs(mu)) >= 1.0:
         raise ValueError("pencil eigenvalues reach the unit circle")
-    out = complex(np.sum(np.log1p(-mu)))
-    return out if z.alg.family == "spin" else out / eja._block_size(z.alg)
+    b = 1 if alg.family == "spin" else eja._block_size(alg)
+    return np.log1p(-mu).sum(axis=-1) / b
+
+
+def siegel_log_delta_pairs(alg: AlgebraDescriptor, V, W) -> np.ndarray:
+    """(len(V), len(W)) log Delta((w_i - conj w_j) / 2i - Phi(omega_i,
+    omega_j)) over all pairs of two stacks of Siegel z-chart rows, by
+    _log_delta_tube: for interior points each real part is at least the mean
+    of the two defects, as Phi(omega_i - omega_j) >= 0. herm_complex's
+    z-chart is the row-major matrix, so Phi there is omega_i omega_j*."""
+    V, W = np.asarray(V, dtype=complex), np.asarray(W, dtype=complex)
+    m = alg.dim_m
+    A = (V[:, None, :m] - np.conj(W[:, :m]) @ eja._chart(alg)["conj"]) / 2j
+    if alg.siegel_n:
+        om, om2 = (X[:, m:].reshape(len(X), alg.size, -1) for X in (V, W))
+        A -= np.einsum("iab,jcb->ijac", om, om2.conj()).reshape(len(V), len(W), m)
+    return _log_delta_tube(alg, A.reshape(-1, m)).reshape(len(V), len(W))
+
+
+def _one_pair(p, q):
+    """(alg, row of p, row of q) for a 1 x 1 kernel of two points."""
+    if p.alg != q.alg:
+        raise ValueError("mismatched algebras")
+    return p.alg, p.as_vector()[None], q.as_vector()[None]
+
+
+def kernel_siegel(lam: float, p: SiegelPoint, q: SiegelPoint) -> complex:
+    """Delta^(-lambda)((z - conj z') / 2i - Phi(zeta, zeta')), the 1 x 1
+    case of siegel_log_delta_pairs."""
+    return complex(np.exp(-lam * siegel_log_delta_pairs(*_one_pair(p, q))[0, 0]))
 
 
 def kernel_bounded(lam: float, z: BoundedPoint, w: BoundedPoint) -> complex:
-    """Normalized kernel h(z, w)^(-lambda) on the bounded domain, K(z, 0) = 1."""
-    if z.alg != w.alg:
-        raise ValueError("mismatched algebras")
-    return complex(np.exp(-lam * _log_generic_norm(z, w)))
+    """Normalized kernel h(z, w)^(-lambda) on the bounded domain, K(z, 0) = 1,
+    the 1 x 1 case of log_h_pairs."""
+    return complex(np.exp(-lam * log_h_pairs(*_one_pair(z, w))[0, 0]))
 
 
 def generic_norm(z: BoundedPoint, w: BoundedPoint) -> complex:
-    """h(z, w): the sesquiholomorphic polynomial with K_lambda = h^(-lambda).
-
-    det(I - Z W*) for the real and complex matrix families and 1 - (a + b) + ab
-    for spin; the quaternionic h is the square root of that determinant,
-    taken on the continuous branch.
+    """h(z, w), the polynomial with K_lambda = h^(-lambda), without
+    log_h_pairs: det(I - Z W*) for the real and complex matrix families,
+    1 - <u, v> + Delta(u) conj Delta(v) for spin. For quaternions
+    det(I - Z W*) = h^2 = det(I + A S) with the skew A = J Z, S = J conj W,
+    the determinant of [[A, I], [-I, S]], whose Pfaffian times (-1)^r is h.
     """
     alg = z.alg
     if alg.family == "spin":
-        tr, det = _spin_pencil(z, w)
-        return 1.0 - tr + det
+        u, v = z.as_vector(), w.as_vector()
+        d2 = lambda c: c[0] * c[1] - 0.5 * np.sum(c[2:] ** 2)
+        return complex(1.0 - np.vdot(v, u) + d2(u) * np.conj(d2(v)))
     if alg.family == "herm_quaternion":
-        return complex(np.exp(_log_generic_norm(z, w)))
+        J, I = eja._quat_J(alg.size), np.eye(2 * alg.size)
+        M = np.block([[J @ z.full_matrix(), I], [-I, J @ w.full_matrix().conj()]])
+        return complex((-1) ** alg.size * eja._pfaffian_numeric(M))
     M = z.full_matrix() @ w.full_matrix().conj().T
     return complex(np.linalg.det(np.eye(alg.size) - M))
 
@@ -847,11 +873,8 @@ def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
     X[:, :m] += ez
     W, det = _jordan_inverse_rows(alg, X)
     if alg.siegel_n:
-        chart = eja._chart(alg)
-        p = alg.size
-        Am = (W @ chart["from_z"] @ chart["embed"]).reshape(-1, p, p)
-        zeta = np.asarray(V)[:, m:].reshape(len(V), p, -1)
-        omega = (Am @ zeta).reshape(len(V), -1)
+        zeta = np.asarray(V)[:, m:].reshape(len(V), alg.size, -1)
+        omega = (_matrix_rows(alg, W) @ zeta).reshape(len(V), -1)
     W *= 2j
     W -= 1j * ez
     if alg.siegel_n:
@@ -875,8 +898,8 @@ def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:
 
     At rank 2, Delta(y) = (tr(y)^2 - tr(y^2)) / 2 in real arithmetic on the
     coordinates of y, with tr(y) = <y, e> and tr(y^2) = <y, y> =
-    sum_k w_k y_k^2 (eja._trace_weights); other ranks evaluate the top minor
-    polynomial on the z-chart of y.
+    sum_k w_k y_k^2 (eja._trace_weights); other ranks take _log_delta_tube
+    on the z-chart of y.
     """
     chart = eja._chart(alg)
     m = alg.dim_m
@@ -889,6 +912,4 @@ def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:
     if alg.rank == 2:
         tr = Y @ eja.identity(alg).coords.real
         return np.log(0.5 * (np.square(tr) - np.square(Y) @ eja._trace_weights(alg)))
-    U = np.zeros((len(W), alg.zdim), dtype=complex)
-    U[:, :m] = Y @ chart["to_z"]
-    return np.log(cones.minor_polynomials(alg)[-1].eval(U).real)
+    return _log_delta_tube(alg, Y @ chart["to_z"]).real

@@ -279,11 +279,12 @@ def _coord_matrices(alg: AlgebraDescriptor) -> np.ndarray:
 
 
 def _chart(alg: AlgebraDescriptor) -> dict:
-    """Cached matrices of the four chart maps, each applied as coords @ M so
+    """Cached matrices of the five chart maps, each applied as coords @ M so
     that a stack of points goes through unchanged.
 
-    'to_z' and 'from_z' for every family; 'embed', 'unembed' and the matrix
-    size 'n' for the matrix families only.
+    'to_z', 'from_z' and 'conj' (to_zchart(x.conj()) = conj(to_zchart(x))
+    @ conj, a signed permutation rounded to exact) for every family; 'embed',
+    'unembed' and the matrix size 'n' for the matrix families only.
     """
     if "chart" in alg._cache:
         return alg._cache["chart"]
@@ -309,6 +310,7 @@ def _chart(alg: AlgebraDescriptor) -> dict:
     # the chart is an isometry for the trace form: C* C = diag(weights)
     out["to_z"] = C.T
     out["from_z"] = (C.conj().T / _trace_weights(alg)[:, None]).T
+    out["conj"] = np.rint((np.conj(out["from_z"]) @ out["to_z"]).real)
     alg._cache["chart"] = out
     return out
 

@@ -6,6 +6,8 @@ intertwining identities on the disc and on tube domains.
 Conventions used throughout and echoed in reports:
   - kernel(lambda) means generic_norm^(-lambda) on the bounded side and the
     matching Siegel kernel on the unbounded side;
+  - points travel as stacks of chart rows (point_vector): Gram matrices,
+    atomic sums, batch evaluators and Monte Carlo blocks work on them;
   - all integrals are Lebesgue on the unitary chart coordinates, with no
     1/pi style normalizations;
   - series norms report (value, last-shell magnitude) so truncation quality
@@ -36,12 +38,7 @@ MAX_DIFFUSE_POINTS = 6  # largest diffuse configuration or frameless cluster
 
 def point_vector(p) -> np.ndarray:
     """Chart coordinates of a bounded or Siegel point as one vector."""
-    if isinstance(p, BoundedPoint):
-        return p.as_vector()
-    v = eja.to_zchart(p.z)
-    if p.zeta is not None:
-        v = np.concatenate([v, p.zeta.ravel()])
-    return v
+    return p.as_vector()
 
 
 @dataclass
@@ -101,24 +98,15 @@ class GramReport:
         return self.min_eigenvalue / max(self.matrix_norm, 1e-300)
 
 
-def _kernel_value(lam: float, z, w) -> complex:
-    if isinstance(z, BoundedPoint):
-        return domains.kernel_bounded(lam, z, w)
-    return domains.kernel_siegel(lam, z, w)
-
-
 def gram_matrix(lam: float, points: Sequence) -> np.ndarray:
-    n = len(points)
-    if n > 1:
-        V = np.array([point_vector(p) for p in points])
-        i, j = np.triu_indices(n, k=1)
-        if np.any(np.linalg.norm(V[i] - V[j], axis=1) < 1e-12):
-            raise ValueError("coincident points give a degenerate Gram matrix")
-    G = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            G[i, j] = _kernel_value(lam, points[i], points[j])
-            G[j, i] = np.conj(G[i, j])
+    """[K(p_i, p_j)]: one call of the picture's pair kernel on the rows."""
+    V = np.array([point_vector(p) for p in points])
+    i, j = np.triu_indices(len(V), k=1)
+    if np.any(np.linalg.norm(V[i] - V[j], axis=1) < 1e-12):
+        raise ValueError("coincident points give a degenerate Gram matrix")
+    pairs = (domains.log_h_pairs if isinstance(points[0], BoundedPoint)
+             else domains.siegel_log_delta_pairs)
+    G = np.exp(-lam * pairs(points[0].alg, V, V))
     return 0.5 * (G + G.conj().T)
 
 
@@ -392,19 +380,12 @@ def dilation_monotonicity(f, lam: float, alg: AlgebraDescriptor,
 # Cayley transport of functions
 # ---------------------------------------------------------------------------
 
-def _transport_factor(lam: float, w: SiegelPoint) -> complex:
-    """Delta^(-lambda)((z + ie)/2i), the kernel factor against the base point."""
-    alg = w.alg
-    arg = (w.z + 1j * eja.identity(alg)) * (1.0 / (2.0 * 1j))
-    return cones.delta_power_complex(arg, np.full(alg.rank, -float(lam)))
-
-
 def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
     """Unitary-up-to-constant map of the bounded-side space to the Siegel side.
 
     (Tf)(w) = f(C^{-1} w) * Delta^(-lambda)((w + ie)/2i) carries kernels to
-    kernels, so series norms and Siegel integrals are proportional. The batch
-    evaluator takes one inverse Cayley transform and one log Delta per stack.
+    kernels, so series norms and Siegel integrals are proportional. A stack
+    of rows, a point being one, takes one inverse Cayley and one log Delta.
     The result keeps (f, lambda) as `transported`: at w = C(z),
     (w + ie)/2i = (e - z)^(-1), so |Tf(w)|^2 = |f(z)|^2 |Delta(e - z)|^(2 lambda),
     which bergman_norm_mc evaluates at the bounded rows it drew.
@@ -415,16 +396,12 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
     if not alg.is_tube:
         raise ValueError("transport is implemented for tube domains")
 
-    def ev(w: SiegelPoint) -> complex:
-        z = domains.inverse_cayley(w)
-        return f(z) * _transport_factor(lam, w)
-
     def batch(V: np.ndarray) -> np.ndarray:
         Z, logdelta = domains.inverse_cayley_rows(alg, V)
         return f.batch(Z) * np.exp(-lam * logdelta)
 
-    return HolFunction(alg, ev, domain="siegel", batch=batch,
-                       transported=(f, float(lam)))
+    return HolFunction(alg, lambda w: complex(batch(point_vector(w)[None])[0]),
+                       domain="siegel", batch=batch, transported=(f, float(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -656,31 +633,30 @@ def lattice_generate(delta: float, region, alg: AlgebraDescriptor) -> Lattice:
 
 def atomic_synthesis(coeffs: Sequence[complex], lattice: Lattice,
                      lam: float) -> HolFunction:
-    """Finite atomic sum sum_j a_j (normalized kernel atom at p_j)."""
+    """Finite atomic sum sum_j a_j (normalized kernel atom at p_j): a stack
+    of rows against all atoms is one call of the picture's pair kernel."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be summable (finite)")
     pts = lattice.points[: len(coeffs)]
     if len(pts) < len(coeffs):
         raise ValueError("more coefficients than lattice points")
-    first = pts[0]
-    alg = first.alg
+    alg = pts[0].alg
     if lam <= 2.0 * (alg.dim_m / alg.rank - 1.0):
         raise ValueError("atoms need a parameter above 2(m/r - 1)")
-    if isinstance(first, SiegelPoint):
-        atoms = [siegel_kernel_atom(lam, p) for p in pts]
-        dom = "siegel"
+    C = np.array([point_vector(p) for p in pts])
+    if isinstance(pts[0], SiegelPoint):
+        # the siegel_kernel_atom normalization Delta^(lambda/2)(defect)
+        coeffs = coeffs * np.exp(0.5 * lam * domains.siegel_log_delta_rows(alg, C))
+        pairs, dom = domains.siegel_log_delta_pairs, "siegel"
     else:
-        atoms = [HolFunction(alg,
-                             (lambda p, c=c: domains.kernel_bounded(lam, p, c)),
-                             domain="bounded")
-                 for c in pts]
-        dom = "bounded"
+        pairs, dom = domains.log_h_pairs, "bounded"
 
-    def ev(w) -> complex:
-        return complex(sum(a * atom(w) for a, atom in zip(coeffs, atoms)))
+    def batch(V: np.ndarray) -> np.ndarray:
+        return np.exp(-lam * pairs(alg, V, C)) @ coeffs
 
-    return HolFunction(alg, ev, domain=dom)
+    return HolFunction(alg, lambda w: complex(batch(point_vector(w)[None])[0]),
+                       domain=dom, batch=batch)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,11 @@ def test_wallach_herm_half_gap(runner):
 @pytest.mark.parametrize("family,lam", [
     (("--family", "sym", "--rank", "2"), "0.25"),
     (("--family", "spin", "--dim", "4"), "2.5"),
-], ids=["sym2-gap", "spin4-inside"])
+    (("--family", "herm", "--p", "2", "--q", "2"), "2.5"),
+    (("--family", "disc"), "-0.5"),
+    (("--family", "sym", "--rank", "2", "--realization", "siegel"), "2.5"),
+], ids=["sym2-gap", "spin4-inside", "herm22-inside", "disc-negative",
+        "sym2-siegel"])
 def test_wallach_same_seed_same_bytes(runner, tmp_path, family, lam):
     # the report echoes its --output path, so both runs write to the same one
     out = tmp_path / "w.json"

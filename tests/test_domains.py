@@ -391,6 +391,107 @@ def test_generic_norm_at_zero_and_hermitian():
 
 
 # ---------------------------------------------------------------------------
+# the all-pairs kernel routines on row stacks
+# ---------------------------------------------------------------------------
+
+# the tube families of test_spaces.TUBES, then two non-tube herm_complex
+ROW_ALGS = [eja.sym_real(1), eja.sym_real(2), eja.sym_real(3), eja.herm_complex(1),
+            eja.herm_complex(2), eja.herm_complex(3), eja.herm_quaternion(2),
+            eja.herm_quaternion(3), eja.spin_factor(4), eja.spin_factor(5),
+            eja.herm_complex(1, 2), eja.herm_complex(2, 3)]
+
+
+def bounded_stack(alg, rng, n, radius=0.9):
+    return np.array([rand_bounded(alg, rng, radius).as_vector() for _ in range(n)])
+
+
+@pytest.mark.parametrize("alg", ROW_ALGS, ids=str)
+def test_log_h_pairs_against_generic_norm(alg):
+    # exp of the all-pairs log h against the determinant, Pfaffian or spin
+    # polynomial of generic_norm pair by pair; at radius 0.45 the log is
+    # also the principal one, which fixes the branch
+    rng = np.random.default_rng(43)
+    for radius in (0.45, 0.9):
+        V, W = bounded_stack(alg, rng, 4, radius), bounded_stack(alg, rng, 3, radius)
+        L = domains.log_h_pairs(alg, V, W)
+        assert L.shape == (4, 3)
+        for i, v in enumerate(V):
+            for j, w in enumerate(W):
+                z = domains.bounded_from_vector(alg, v)
+                x = domains.bounded_from_vector(alg, w)
+                h = domains.generic_norm(z, x)
+                assert abs(np.exp(L[i, j]) - h) <= 1e-12 * abs(h)
+                if radius < 0.5:
+                    assert abs(L[i, j] - np.log(h)) <= 1e-12
+                assert domains.kernel_bounded(1.3, z, x) == pytest.approx(
+                    np.exp(-1.3 * L[i, j]), rel=1e-14)
+
+
+@pytest.mark.parametrize("alg", ROW_ALGS, ids=str)
+def test_siegel_log_delta_pairs_against_delta_power_complex(alg):
+    # the reference forms each argument from the points' coordinates and
+    # takes cones.delta_power_complex: the principal log of the top minor
+    # at rank <= 2, _log_rhp_det above
+    rng = np.random.default_rng(44)
+    lam = 1.3
+    V = domains.cayley_rows(alg, bounded_stack(alg, rng, 4))[0]
+    W = domains.cayley_rows(alg, bounded_stack(alg, rng, 3))[0]
+    L = domains.siegel_log_delta_pairs(alg, V, W)
+    for i, v in enumerate(V):
+        for j, w in enumerate(W):
+            p = domains.siegel_from_vector(alg, v)
+            q = domains.siegel_from_vector(alg, w)
+            arg = Element(alg, (p.z.coords - np.conj(q.z.coords)) / 2j)
+            if alg.siegel_n:
+                arg = arg - domains.phi_form(alg, p.zeta, q.zeta)
+            want = cones.delta_power_complex(arg, np.full(alg.rank, -lam))
+            assert abs(np.exp(-lam * L[i, j]) - want) <= 1e-12 * abs(want)
+            assert domains.kernel_siegel(lam, p, q) == pytest.approx(
+                np.exp(-lam * L[i, j]), rel=1e-14)
+
+
+@pytest.mark.parametrize("alg", ROW_ALGS, ids=str)
+def test_siegel_log_delta_pairs_keeps_the_continuous_branch(alg):
+    # w = ie -+ 10 e pair to (1 + 10i) e, whose Delta = (1 + 10i)^r has an
+    # argument of r atan(10), past pi from rank 3 on: there the principal
+    # log of the minor leaves the branch that delta_power_complex follows
+    e = np.zeros(alg.zdim, dtype=complex)
+    e[: alg.dim_m] = eja.to_zchart(eja.identity(alg))
+    L = domains.siegel_log_delta_pairs(alg, [1j * e - 10 * e], [1j * e + 10 * e])
+    arg = Element(alg, (1 + 10j) * eja.identity(alg).coords)
+    want = cones.delta_power_complex(arg, np.full(alg.rank, -1.3))
+    assert abs(np.exp(-1.3 * L[0, 0]) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("alg", ROW_ALGS, ids=str)
+def test_row_kernels_match_cayley_cross_ratio(alg):
+    # log h(z, w) = L(cz, cw) + L(c0, c0) - L(cz, c0) - L(c0, cw) with L the
+    # Siegel all-pairs log Delta: the Jacobian factors cancel, and both
+    # sides are continuous and vanish at z = 0
+    rng = np.random.default_rng(45)
+    V, W = bounded_stack(alg, rng, 4), bounded_stack(alg, rng, 3)
+    c0 = np.zeros((1, alg.zdim), dtype=complex)
+    c0[0, : alg.dim_m] = 1j * eja.to_zchart(eja.identity(alg))
+    CV, CW = domains.cayley_rows(alg, V)[0], domains.cayley_rows(alg, W)[0]
+    want = (domains.siegel_log_delta_pairs(alg, CV, CW)
+            + domains.siegel_log_delta_pairs(alg, c0, c0)
+            - domains.siegel_log_delta_pairs(alg, CV, c0)
+            - domains.siegel_log_delta_pairs(alg, c0, CW))
+    assert np.abs(domains.log_h_pairs(alg, V, W) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("alg", ROW_ALGS, ids=str)
+def test_log_h_pairs_rejects_pencil_eigenvalues_on_the_unit_circle(alg):
+    # z = e against w = e, -e and ie puts a pencil eigenvalue at 1, -1 and
+    # -i; one such pair in a stack is enough
+    e = np.zeros(alg.zdim, dtype=complex)
+    e[: alg.dim_m] = eja.to_zchart(eja.identity(alg))
+    for s in (1.0, -1.0, 1j):
+        with pytest.raises(ValueError, match="unit circle"):
+            domains.log_h_pairs(alg, [0.5 * e, e], [0.3 * e, s * e])
+    assert np.isfinite(domains.log_h_pairs(alg, [0.5 * e], [(1 - 1e-9) * e])).all()
+
+# ---------------------------------------------------------------------------
 # Mobius maps
 # ---------------------------------------------------------------------------
 

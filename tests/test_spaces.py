@@ -89,9 +89,12 @@ def test_gram_bergman_parameter_psd():
 
 
 def test_gram_accepts_siegel_points():
-    pts = rand_siegel_grid(SR2, np.random.default_rng(3), 5)
-    rep = spaces.psd_verdict(3.0, pts)
-    assert rep.verdict == "PSD"
+    # at the genus the Siegel kernel is the Bergman kernel, a positive one;
+    # on the non-tube herm_complex(1, 2) and (2, 3) the polarized argument
+    # carries Phi(omega_i, omega_j)
+    for alg, seed in ((SR2, 3), (BALL2, 4), (eja.herm_complex(2, 3), 4)):
+        pts = rand_siegel_grid(alg, np.random.default_rng(seed), 5)
+        assert spaces.psd_verdict(float(alg.genus), pts).verdict == "PSD", alg
 
 
 def test_wallach_search_disc():
@@ -776,6 +779,13 @@ def test_intertwine_tube_needs_lattice_parameter():
 # Cayley transport
 # ---------------------------------------------------------------------------
 
+def transport_factor(lam, w):
+    """Delta^(-lambda)((z + ie)/2i) by cones.delta_power_complex, the
+    per-point reference for the factor of transport_to_siegel."""
+    arg = (w.z + 1j * eja.identity(w.alg)) * (1.0 / 2j)
+    return cones.delta_power_complex(arg, np.full(w.alg.rank, -float(lam)))
+
+
 def test_transport_preserves_kernel_pairings():
     # the transported kernel atom reproduces the Siegel kernel values up to
     # the fixed unitary constant, checked through two independent points
@@ -788,7 +798,7 @@ def test_transport_preserves_kernel_pairings():
     for z in (0.3 + 0.05j, -0.25 + 0.2j):
         zs = domains.cayley(disc_pt(z))
         want = (domains.kernel_siegel(lam, zs, cw)
-                / spaces._transport_factor(lam, cw).conjugate())
+                / transport_factor(lam, cw).conjugate())
         assert fs(zs) == pytest.approx(want, rel=1e-10)
 
 
@@ -799,14 +809,18 @@ TUBES = [eja.sym_real(1), eja.sym_real(2), eja.sym_real(3), eja.herm_complex(1),
 
 def test_transport_batch_matches_per_point_evaluator():
     # one batched inverse Cayley transform and log Delta per stack against
-    # inverse_cayley and delta_power_complex point by point, on Siegel draws
+    # inverse_cayley and delta_power_complex point by point, on Siegel draws;
+    # the evaluator on one point is the batch path on one row
     rng = np.random.default_rng(23)
     for alg in TUBES:
-        f = spaces.transport_to_siegel(
-            spaces.poly_function(alg, rand_poly(alg.dim_m, 2, rng)), 2.5)
+        fb = spaces.poly_function(alg, rand_poly(alg.dim_m, 2, rng))
+        f = spaces.transport_to_siegel(fb, 2.5)
         V = domains.sample_siegel(alg, 8, rng)
-        want = [f(domains.siegel_from_vector(alg, v)) for v in V]
+        pts = [domains.siegel_from_vector(alg, v) for v in V]
+        want = [fb(domains.inverse_cayley(p)) * transport_factor(2.5, p)
+                for p in pts]
         assert np.allclose(f.batch(V), want, rtol=1e-12, atol=0.0), alg
+        assert np.allclose([f(p) for p in pts], want, rtol=1e-12, atol=0.0), alg
 
 
 def test_taylor_backed_function_consistency():
