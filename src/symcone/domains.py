@@ -27,10 +27,10 @@ routine, _frames, draws the Haar unitary frames behind the polar draws,
 the stacks of K chart matrices of haar_K and the unitary part of
 mobius_sample.
 bounded_from_vector and siegel_from_vector turn one row into a point.
-spectral_norm and in_bounded_domain also take a bare row of a given algebra,
-with the same arithmetic as on its point, so the box rejection of
-sample_bounded and the Gram search's clusters test each proposal's row and
-build a point only for what they keep.
+spectral_norm and in_bounded_domain take a point, a row or a stack of rows,
+with the same bits for a row in each form, so the Gram search builds no
+point: sample_bounded returns the row its box rejection accepts, and a
+cluster's rows are tested in one call.
 """
 
 from __future__ import annotations
@@ -135,43 +135,47 @@ def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
 # spectral norm and membership
 # ---------------------------------------------------------------------------
 
-def spectral_norm(p, alg: Optional[AlgebraDescriptor] = None) -> float:
-    """Spectral norm of a BoundedPoint, or of a chart row of alg (one
-    spaces.point_vector) without building the point.
+def spectral_norm(p, alg: Optional[AlgebraDescriptor] = None):
+    """Spectral norm of a BoundedPoint or of a chart row of alg (one
+    spaces.point_vector), or the (n,) norms of an (n, d) stack of rows.
 
-    Both forms run the same arithmetic on the algebra coordinates
-    v[:dim_m] @ from_z, so they agree bit for bit except where
-    bounded_from_vector would drop an imaginary part below 1e-11 of the
-    coordinates' scale (eja._realify), which a random row all but never has.
+    One routine for all three, every product taken row by row, so a row's
+    norm has the same bits alone, in a stack or as its point (rows reach the
+    algebra coordinates as v[:dim_m] @ from_z), except where
+    bounded_from_vector drops an imaginary part below 1e-11 (eja._realify).
     """
     if isinstance(p, BoundedPoint):
-        return _spectral_norm(p.alg, p.z1.coords, p.zeta)
-    z, zeta = _split_row(alg, p)
-    return _spectral_norm(alg, z @ eja._chart(alg)["from_z"], zeta)
-
-
-def _spectral_norm(alg: AlgebraDescriptor, coords: np.ndarray,
-                   zeta: Optional[np.ndarray]) -> float:
-    """Largest singular value of the embedded p x q matrix (z1 | zeta), or
-    the spin closed form, from the algebra coordinates of z1."""
+        alg, X, zeta = p.alg, p.z1.coords, p.zeta
+    else:
+        V = np.asarray(p, dtype=complex)
+        X = _row_products(V[..., : alg.dim_m], eja._chart(alg)["from_z"])
+        zeta = (V[..., alg.dim_m:].reshape(V.shape[:-1] + (alg.size, -1))
+                if alg.siegel_n else None)
     chart = eja._chart(alg)
     if alg.family == "spin":
-        u = coords.astype(complex) @ chart["to_z"]
-        nsq = float(np.vdot(u, u).real)
-        d2 = abs(u[0] * u[1] - 0.5 * np.sum(u[2:] ** 2))
-        disc = max(nsq * nsq - 4.0 * d2 * d2, 0.0)
-        return float(np.sqrt((nsq + np.sqrt(disc)) / 2.0))
-    n = chart["n"]
-    M = (coords @ chart["embed"]).reshape(n, n)
-    if zeta is not None:
-        M = np.concatenate([M, zeta], axis=1)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return float(sv[0])
+        u = _row_products(X, chart["to_z"])
+        nsq = (np.vdot(u, u) if u.ndim == 1 else
+               (u.conj()[:, None] @ u[:, :, None])[:, 0, 0]).real
+        d2 = np.abs(np.multiply(u[..., 0], u[..., 1])
+                    - 0.5 * np.add.reduce(u[..., 2:] ** 2, axis=-1))
+        out = np.sqrt((nsq + np.sqrt(np.maximum(nsq * nsq - 4.0 * d2 * d2, 0.0))) / 2.0)
+    else:
+        n = chart["n"]
+        M = _row_products(X, chart["embed"]).reshape(X.shape[:-1] + (n, n))
+        if zeta is not None:
+            M = np.concatenate([M, zeta], axis=-1)
+        out = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return out if np.ndim(out) else float(out)
+
+
+def _row_products(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X @ M by one vector-matrix product per row, for a row or a stack."""
+    return X @ M if X.ndim == 1 else (X[:, None] @ M)[:, 0]
 
 
 def in_bounded_domain(p, tol: float = BOUNDARY_TOL,
-                      alg: Optional[AlgebraDescriptor] = None) -> bool:
-    """Spectral norm below 1 - tol; p is a point or a chart row of alg."""
+                      alg: Optional[AlgebraDescriptor] = None):
+    """Spectral norm below 1 - tol, per row for a stack of rows."""
     return spectral_norm(p, alg) < 1.0 - tol
 
 
@@ -542,16 +546,16 @@ _BOX_SCALE = {"sym_real": np.sqrt(2.0), "herm_complex": 1.0,
               "herm_quaternion": 1.0, "spin": np.sqrt(2.0)}
 
 
-def sample_bounded(alg: AlgebraDescriptor, rng: np.random.Generator):
-    """One uniform point of the bounded domain by box rejection: each
-    proposal's chart row is tested as it is, and only the accepted one is
-    built into a point."""
+def sample_bounded(alg: AlgebraDescriptor, rng: np.random.Generator) -> np.ndarray:
+    """One uniform chart row of the bounded domain (spaces.point_vector of
+    its point) by box rejection: two uniform calls per proposal, each
+    proposal's row tested by in_bounded_domain."""
     c = _BOX_SCALE[alg.family]
-    d = alg.dim_m + alg.siegel_n
+    d = alg.zdim
     while True:
         v = c * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
         if in_bounded_domain(v, alg=alg):
-            return bounded_from_vector(alg, v)
+            return v
 
 
 @dataclass

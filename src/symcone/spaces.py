@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import cones, domains, eja, fischer, wallach
-from .domains import AffineMap, BoundedPoint, MobiusMap, SiegelPoint
+from .domains import AffineMap, MobiusMap, SiegelPoint
 from .eja import AlgebraDescriptor
 from .poly import SparsePolynomial, weighted_parts
 
@@ -88,7 +88,7 @@ def zero_function(alg: AlgebraDescriptor, domain: str = "bounded") -> HolFunctio
 @dataclass
 class GramReport:
     lam: float
-    points: list
+    rows: np.ndarray  # (n, d) chart rows of the picture, point_vector per row
     min_eigenvalue: float
     matrix_norm: float
     verdict: str  # PSD | NotPSD | inconclusive
@@ -98,20 +98,23 @@ class GramReport:
         return self.min_eigenvalue / max(self.matrix_norm, 1e-300)
 
 
-def gram_matrix(lam: float, points: Sequence) -> np.ndarray:
-    """[K(p_i, p_j)]: one call of the picture's pair kernel on the rows."""
-    V = np.array([point_vector(p) for p in points])
-    i, j = np.triu_indices(len(V), k=1)
-    if np.any(np.linalg.norm(V[i] - V[j], axis=1) < 1e-12):
+def gram_matrix(lam: float, alg: AlgebraDescriptor, V,
+                realization: str = "bounded") -> np.ndarray:
+    """[K(v_i, v_j)] over an (n, d) stack of chart rows of alg in the given
+    picture (point_vector per point): one call of the picture's pair kernel."""
+    V = np.asarray(V, dtype=complex)
+    # the diagonal is the n exact zeros of the distance matrix
+    if np.count_nonzero(np.linalg.norm(V[:, None] - V, axis=-1) < 1e-12) > len(V):
         raise ValueError("coincident points give a degenerate Gram matrix")
-    pairs = (domains.log_h_pairs if isinstance(points[0], BoundedPoint)
-             else domains.siegel_log_delta_pairs)
-    G = np.exp(-lam * pairs(points[0].alg, V, V))
+    pairs = (domains.siegel_log_delta_pairs if realization == "siegel"
+             else domains.log_h_pairs)
+    G = np.exp(-lam * pairs(alg, V, V))
     return 0.5 * (G + G.conj().T)
 
 
-def psd_verdict(lam: float, points: Sequence) -> GramReport:
-    G = gram_matrix(lam, points)
+def psd_verdict(lam: float, alg: AlgebraDescriptor, V,
+                realization: str = "bounded") -> GramReport:
+    G = gram_matrix(lam, alg, V, realization)
     ev = np.linalg.eigvalsh(G)
     mn, norm = float(ev[0]), float(np.max(np.abs(ev)))
     if mn < -PSD_HARD * norm:
@@ -120,7 +123,7 @@ def psd_verdict(lam: float, points: Sequence) -> GramReport:
         verdict = "PSD"
     else:
         verdict = "inconclusive"
-    return GramReport(lam, list(points), mn, norm, verdict)
+    return GramReport(lam, np.asarray(V, dtype=complex), mn, norm, verdict)
 
 
 def _quadric_frame(alg: AlgebraDescriptor):
@@ -172,7 +175,8 @@ def _small_rotation(rng: np.random.Generator, dim: int, scale: float) -> np.ndar
 
 def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
                       realization: str):
-    """Symmetric +/- pair cluster around a base point.
+    """Symmetric +/- pair cluster around a base point, as (2k, d) chart
+    rows, or None when no shrink of it fits in the bounded domain.
 
     Positivity failures inside the gaps of the admissible parameter set are
     jet effects: a diffuse configuration never sees them.  When the minor
@@ -200,15 +204,10 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
     else:
         base = 0.05 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
     for _ in range(8):
-        pts = []
-        for j in range(k):
-            off = eps0 * eps_rel[j] * dirs[:, j]
-            pts.append(base + off)
-            pts.append(base - off)
-        if realization == "siegel":
-            return [domains.siegel_from_vector(alg, v) for v in pts]
-        if all(domains.in_bounded_domain(v, alg=alg) for v in pts):
-            return [domains.bounded_from_vector(alg, v) for v in pts]
+        off = (eps0 * eps_rel * dirs).T
+        V = np.stack([base + off, base - off], axis=1).reshape(2 * k, d)
+        if realization == "siegel" or domains.in_bounded_domain(V, alg=alg).all():
+            return V
         base, eps0 = 0.6 * base, 0.6 * eps0
     return None
 
@@ -216,29 +215,26 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
 def wallach_search(lam: float, alg: AlgebraDescriptor, trials: int,
                    rng: np.random.Generator, realization: str = "bounded"
                    ) -> GramReport:
-    """Worst Gram report over random point configurations.
-
-    Mixes diffuse configurations (uniform on the bounded domain, or their
-    Cayley images from one domains.sample_siegel call) with tight +/- pair
-    clusters; the clusters are what exposes the sign failures strictly
-    inside the continuous-part gaps.
-    Stops at the first NotPSD witness.
+    """Worst Gram report over random configurations of chart rows: diffuse
+    ones (domains.sample_bounded rows, uniform on the bounded domain, or
+    their Cayley images from one domains.sample_siegel call) and tight +/-
+    pair clusters, which expose the sign failures strictly inside the
+    continuous-part gaps. Stops at the first NotPSD witness.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     worst: Optional[GramReport] = None
     for _ in range(trials):
-        pts = None
+        V = None
         if rng.uniform() < 0.5:
-            pts = _cluster_proposal(alg, rng, realization)
-        if pts is None:
+            V = _cluster_proposal(alg, rng, realization)
+        if V is None:
             n = int(rng.integers(1, MAX_DIFFUSE_POINTS + 1))
             if realization == "siegel":
-                pts = [domains.siegel_from_vector(alg, v)
-                       for v in domains.sample_siegel(alg, n, rng)]
+                V = domains.sample_siegel(alg, n, rng)
             else:
-                pts = [domains.sample_bounded(alg, rng) for _ in range(n)]
-        rep = psd_verdict(lam, pts)
+                V = np.array([domains.sample_bounded(alg, rng) for _ in range(n)])
+        rep = psd_verdict(lam, alg, V, realization)
         if worst is None or rep.ratio < worst.ratio:
             worst = rep
         if worst.verdict == "NotPSD":

@@ -57,8 +57,8 @@ def test_01_rank1_positivity_classification():
         rng = np.random.default_rng(101)
         for _ in range(500):
             n = int(rng.integers(1, 7))
-            pts = [domains.sample_bounded(DISC, rng) for _ in range(n)]
-            G = spaces.gram_matrix(lam, pts)
+            V = np.array([domains.sample_bounded(DISC, rng) for _ in range(n)])
+            G = spaces.gram_matrix(lam, DISC, V)
             nrm = float(np.linalg.norm(G, 2))
             assert float(np.linalg.eigvalsh(G)[0]) >= -1e-10 * max(nrm, 1e-300)
     for lam in (-0.5, -1.0):

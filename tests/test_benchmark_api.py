@@ -126,9 +126,11 @@ def _traced_names():
 
 def test_every_traced_name_is_a_symcone_function():
     # a renamed sample_bounded or in_bounded_domain would silently set
-    # domains.sampler_draws to 0; here it fails instead
+    # domains.sampler_draws to 0, a renamed psd_verdict spaces.gram_verdicts;
+    # here it fails instead
     names = _traced_names()
-    assert {"domains.sample_bounded", "domains.in_bounded_domain"} <= names
+    assert {"domains.sample_bounded", "domains.in_bounded_domain",
+            "spaces.psd_verdict"} <= names
     missing = set()
     for name in names:
         layer, *attrs = name.split(".")

@@ -98,20 +98,28 @@ def _box_rows(alg, rng, n):
 def test_spectral_norm_of_a_row_matches_its_point_bitwise(alg):
     # ALGS holds the rank-2 non-tube herm_complex(2, 3), whose rows carry a
     # half-space block; half the rows are rescaled to within 1e-13 of the
-    # membership threshold, where a last-bit difference would flip a verdict
+    # membership threshold, where a last-bit difference would flip a verdict.
+    # The (n, d) stack, its slices of every length and each row alone and
+    # as its point give the same bits
     rng = np.random.default_rng(41)
     edge = 1.0 - domains.BOUNDARY_TOL
     rows = _box_rows(alg, rng, 200)
     for v, t in zip(rows[:100], rng.uniform(-1e-13, 1e-13, 100)):
         v *= (edge + t) / domains.spectral_norm(v, alg)
+    stack = domains.spectral_norm(rows, alg)
+    assert stack.shape == (200,)
     inside = []
-    for v in rows:
+    for i, v in enumerate(rows):
         p = domains.bounded_from_vector(alg, v)
-        assert domains.spectral_norm(v, alg) == domains.spectral_norm(p)
+        assert domains.spectral_norm(v, alg) == domains.spectral_norm(p) == stack[i]
         inside.append(domains.in_bounded_domain(v, alg=alg))
         assert inside[-1] == domains.in_bounded_domain(p)
-    near = np.array([domains.spectral_norm(v, alg) for v in rows[:100]])
-    assert np.abs(near - edge).max() < 2e-13
+    assert np.array_equal(domains.in_bounded_domain(rows, alg=alg), inside)
+    for n in (1, 2, 3, 8, 17):
+        for i in range(0, 200 - n, 37):
+            assert np.array_equal(domains.spectral_norm(rows[i:i + n], alg),
+                                  stack[i:i + n])
+    assert np.abs(stack[:100] - edge).max() < 2e-13
     assert 0 < sum(inside[:100]) < 100
 
 
@@ -654,35 +662,55 @@ def test_affine_real_jacobian_matches_fd_volume():
 def test_sample_bounded_is_interior():
     for alg in ALGS:
         for _ in range(5):
-            p = domains.sample_bounded(alg, RNG)
-            assert domains.in_bounded_domain(p)
+            v = domains.sample_bounded(alg, RNG)
+            assert v.shape == (alg.zdim,)
+            assert domains.in_bounded_domain(v, alg=alg)
+            assert domains.in_bounded_domain(domains.bounded_from_vector(alg, v))
 
 
 def _build_then_test(alg, rng):
-    """The box loop that builds every proposal's point before testing it."""
+    """The box loop that builds every proposal's point before testing it;
+    the accepted row and its point."""
     c, d = domains._BOX_SCALE[alg.family], alg.zdim
     while True:
         v = c * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
         p = domains.bounded_from_vector(alg, v)
         if domains.in_bounded_domain(p):
-            return p
+            return v, p
 
 
 @pytest.mark.parametrize("alg", ALGS, ids=str)
 def test_sample_bounded_matches_the_build_then_test_loop(alg):
-    # the same points, bit for bit, after the same number of uniform calls;
-    # one point where the box accepts 1 in 10 000 or fewer proposals
+    # the same rows, bit for bit, after the same number of uniform calls;
+    # one row where the box accepts 1 in 10 000 or fewer proposals
     got_rng, ref_rng = _CountingRng(42), _CountingRng(42)
     rare = alg in (eja.sym_real(3), eja.spin_factor(5))
     for _ in range(1 if rare else 4):
         got = domains.sample_bounded(alg, got_rng)
-        ref = _build_then_test(alg, ref_rng)
+        ref, ref_point = _build_then_test(alg, ref_rng)
         assert got_rng.calls == ref_rng.calls
-        assert got.z1.coords.dtype == ref.z1.coords.dtype
-        assert np.array_equal(got.z1.coords, ref.z1.coords)
-        assert (got.zeta is None) == (ref.zeta is None)
-        if got.zeta is not None:
-            assert np.array_equal(got.zeta, ref.zeta)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(domains.bounded_from_vector(alg, got).z1.coords,
+                              ref_point.z1.coords)
+
+
+def test_sample_bounded_tests_each_proposal_once(monkeypatch):
+    # the benchmark's domains.sampler_draws counts the in_bounded_domain
+    # calls made inside sample_bounded: one per proposal, on its row
+    calls = []
+
+    def counted(p, tol=domains.BOUNDARY_TOL, alg=None):
+        calls.append(np.shape(p))
+        return test(p, tol, alg)
+
+    test = domains.in_bounded_domain
+    monkeypatch.setattr(domains, "in_bounded_domain", counted)
+    for alg in (eja.herm_complex(1), eja.sym_real(2), eja.spin_factor(4)):
+        rng, before = _CountingRng(43), len(calls)
+        for _ in range(3):
+            domains.sample_bounded(alg, rng)
+        assert len(calls) - before == rng.calls // 2
+        assert set(calls[before:]) == {(alg.zdim,)}
 
 
 # every family the weighted draws and the Cayley rows cover: the tube
@@ -797,8 +825,9 @@ def test_bergman_constant_matches_box_rejection_mass(alg, lam, n):
     # c_lambda against box volume x acceptance x mean h^(lambda - g) over
     # the uniform points of the box sampler, within 5 standard errors
     rng = _CountingRng(33)
-    hs = np.array([domains.generic_norm(p, p).real for p in
-                   (domains.sample_bounded(alg, rng) for _ in range(n))])
+    pts = (domains.bounded_from_vector(alg, domains.sample_bounded(alg, rng))
+           for _ in range(n))
+    hs = np.array([domains.generic_norm(p, p).real for p in pts])
     vals = hs ** (lam - alg.genus)
     draws = rng.calls // 2
     acc = n / draws

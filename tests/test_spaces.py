@@ -58,34 +58,57 @@ def rand_siegel_grid(alg, rng, n):
 # Gram matrices and PSD verdicts
 # ---------------------------------------------------------------------------
 
+def disc_rows(*zs):
+    return np.array(zs, dtype=complex)[:, None]
+
+
 def test_gram_single_point_positive():
-    rep = spaces.psd_verdict(1.0, [disc_pt(0.3 + 0.2j)])
+    rep = spaces.psd_verdict(1.0, DISC, disc_rows(0.3 + 0.2j))
     assert rep.verdict == "PSD"
     assert rep.min_eigenvalue > 0
+    assert np.array_equal(rep.rows, disc_rows(0.3 + 0.2j))
 
 
 def test_gram_disc_negative_two_point_witness():
     # det [[1, 1], [1, 0.75^0.5]] = 0.75^0.5 - 1 < 0
-    pts = [disc_pt(0.0), disc_pt(0.5)]
-    G = spaces.gram_matrix(-0.5, pts)
+    V = disc_rows(0.0, 0.5)
+    G = spaces.gram_matrix(-0.5, DISC, V)
     assert np.linalg.det(G).real == pytest.approx(0.75 ** 0.5 - 1.0, abs=1e-12)
-    assert spaces.psd_verdict(-0.5, pts).verdict == "NotPSD"
+    assert spaces.psd_verdict(-0.5, DISC, V).verdict == "NotPSD"
 
 
 def test_gram_coincident_points_rejected():
     with pytest.raises(ValueError):
-        spaces.gram_matrix(1.0, [disc_pt(0.1), disc_pt(0.1)])
+        spaces.gram_matrix(1.0, DISC, disc_rows(0.1, 0.1))
     # any pair closer than 1e-12 in the chart, not only neighbours
-    pts = [disc_pt(0.1), disc_pt(-0.2j), disc_pt(0.3), disc_pt(0.1 + 1e-13)]
+    zs = [0.1, -0.2j, 0.3, 0.1 + 1e-13]
     with pytest.raises(ValueError, match="coincident"):
-        spaces.gram_matrix(1.0, pts)
-    pts[-1] = disc_pt(0.1 + 1e-11)
-    assert spaces.gram_matrix(1.0, pts).shape == (4, 4)
+        spaces.gram_matrix(1.0, DISC, disc_rows(*zs))
+    zs[-1] = 0.1 + 1e-11
+    assert spaces.gram_matrix(1.0, DISC, disc_rows(*zs)).shape == (4, 4)
+
+
+def test_gram_rows_keep_nearly_real_points_apart():
+    # bounded_from_vector makes the row 0.1 + 1e-11 i the point 0.1, as
+    # eja._realify drops the imaginary part; the rows stay 1e-11 apart
+    assert spaces.gram_matrix(1.0, DISC, disc_rows(0.1, 0.1 + 1e-11j)).shape == (2, 2)
+    assert spaces.psd_verdict(1.0, DISC, disc_rows(0.1, 0.1 + 1e-11j)).verdict == "PSD"
+    with pytest.raises(ValueError, match="coincident"):
+        spaces.gram_matrix(1.0, DISC, disc_rows(0.1, 0.1 + 5e-13j))
+
+
+def test_gram_of_points_is_the_gram_of_their_rows():
+    # a caller with points stacks point_vector
+    pts = [disc_pt(0.3 + 0.2j), disc_pt(-0.5j), disc_pt(0.1)]
+    V = np.array([spaces.point_vector(p) for p in pts])
+    G = spaces.gram_matrix(1.5, DISC, V)
+    want = [[domains.kernel_bounded(1.5, p, q) for q in pts] for p in pts]
+    assert np.allclose(G, want, rtol=1e-14, atol=0)
 
 
 def test_gram_bergman_parameter_psd():
-    pts = [domains.sample_bounded(DISC, RNG) for _ in range(6)]
-    assert spaces.psd_verdict(2.0, pts).verdict == "PSD"
+    V = np.array([domains.sample_bounded(DISC, RNG) for _ in range(6)])
+    assert spaces.psd_verdict(2.0, DISC, V).verdict == "PSD"
 
 
 def test_gram_accepts_siegel_points():
@@ -93,8 +116,9 @@ def test_gram_accepts_siegel_points():
     # on the non-tube herm_complex(1, 2) and (2, 3) the polarized argument
     # carries Phi(omega_i, omega_j)
     for alg, seed in ((SR2, 3), (BALL2, 4), (eja.herm_complex(2, 3), 4)):
-        pts = rand_siegel_grid(alg, np.random.default_rng(seed), 5)
-        assert spaces.psd_verdict(float(alg.genus), pts).verdict == "PSD", alg
+        V = domains.sample_siegel(alg, 5, np.random.default_rng(seed))
+        assert spaces.psd_verdict(float(alg.genus), alg, V,
+                                  "siegel").verdict == "PSD", alg
 
 
 def test_wallach_search_disc():
@@ -134,6 +158,118 @@ def test_wallach_search_deterministic():
     r2 = spaces.wallach_search(0.75, SR2, 60, np.random.default_rng(9))
     assert r1.min_eigenvalue == r2.min_eigenvalue
     assert r1.matrix_norm == r2.matrix_norm
+
+
+def test_wallach_search_makes_one_verdict_per_trial(monkeypatch):
+    # the benchmark's spaces.gram_verdicts counts spaces.psd_verdict calls
+    reps = []
+    verdict = spaces.psd_verdict
+
+    def counted(*args, **kwargs):
+        reps.append(verdict(*args, **kwargs))
+        return reps[-1]
+
+    monkeypatch.setattr(spaces, "psd_verdict", counted)
+    for alg, lam in ((DISC, 1.0), (SR2, 2.0), (eja.spin_factor(4), 2.5)):
+        reps.clear()
+        rep = spaces.wallach_search(lam, alg, 12, np.random.default_rng(3))
+        assert rep.verdict == "PSD" and len(reps) == 12
+    # outside the set the search stops at its first witness
+    reps.clear()
+    rep = spaces.wallach_search(-0.5, DISC, 500, np.random.default_rng(3))
+    assert rep is reps[-1] and rep.verdict == "NotPSD"
+    assert all(r.verdict != "NotPSD" for r in reps[:-1])
+
+
+# the point-based search that the row search replaced: every proposal built
+# into a point and tested as one, a Gram matrix of the stacked point_vector
+# rows; the reference for the row search's stream, verdict and ratio
+
+def _ref_sample_bounded(alg, rng):
+    c, d = domains._BOX_SCALE[alg.family], alg.zdim
+    while True:
+        v = c * (rng.uniform(-1, 1, size=d) + 1j * rng.uniform(-1, 1, size=d))
+        p = domains.bounded_from_vector(alg, v)
+        if domains.in_bounded_domain(p):
+            return p
+
+
+def _ref_cluster(alg, rng, realization):
+    d = alg.zdim
+    frame = spaces._quadric_frame(alg)
+    if frame is not None:
+        k = len(frame[0])
+        dirs = np.zeros((d, k))
+        dirs[: alg.dim_m] = spaces._small_rotation(rng, alg.dim_m, 0.04) @ frame[1]
+        eps_rel = frame[2]
+    else:
+        k = max(1, min(spaces.MAX_DIFFUSE_POINTS // 2, d))
+        dirs = np.linalg.qr(rng.standard_normal((d, k)))[0]
+        eps_rel = rng.uniform(0.5, 1.0, size=k)
+    eps0 = rng.uniform(0.05, 0.25)
+    if realization == "siegel":
+        base = np.zeros(d, dtype=complex)
+        base[: alg.dim_m] = (eja.to_zchart(eja.identity(alg)) * 1j
+                             + 0.05 * rng.standard_normal(alg.dim_m))
+        base[alg.dim_m:] = 0.05 * rng.standard_normal(alg.siegel_n)
+    else:
+        base = 0.05 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    for _ in range(8):
+        pts = []
+        for j in range(k):
+            off = eps0 * eps_rel[j] * dirs[:, j]
+            pts.append(base + off)
+            pts.append(base - off)
+        if realization == "siegel":
+            return [domains.siegel_from_vector(alg, v) for v in pts]
+        pts = [domains.bounded_from_vector(alg, v) for v in pts]
+        if all(domains.in_bounded_domain(p) for p in pts):
+            return pts
+        base, eps0 = 0.6 * base, 0.6 * eps0
+    return None
+
+
+def _ref_search(lam, alg, trials, rng, realization):
+    worst = None
+    for _ in range(trials):
+        pts = None
+        if rng.uniform() < 0.5:
+            pts = _ref_cluster(alg, rng, realization)
+        if pts is None:
+            n = int(rng.integers(1, spaces.MAX_DIFFUSE_POINTS + 1))
+            if realization == "siegel":
+                pts = [domains.siegel_from_vector(alg, v)
+                       for v in domains.sample_siegel(alg, n, rng)]
+            else:
+                pts = [_ref_sample_bounded(alg, rng) for _ in range(n)]
+        V = np.array([spaces.point_vector(p) for p in pts])
+        rep = spaces.psd_verdict(lam, alg, V, realization)
+        if worst is None or rep.ratio < worst.ratio:
+            worst = rep
+        if worst.verdict == "NotPSD":
+            break
+    return worst
+
+
+@pytest.mark.parametrize("alg,lams,realization", [
+    (DISC, (-0.5, 0.5), "bounded"),
+    (eja.herm_complex(2, 2), (0.5, 1.5), "bounded"),
+    (SR2, (0.25, 0.75), "bounded"),
+    (eja.spin_factor(4), (0.5, 2.5), "bounded"),
+    (SR2, (0.25, 1.5), "siegel"),
+], ids=["disc", "herm_complex(2,2)", "sym_real(2)", "spin_factor(4)", "sym_real(2)-siegel"])
+def test_row_search_keeps_the_point_search_stream(alg, lams, realization):
+    # the same draws, so the same generator state afterwards, the same
+    # verdict, the worst configuration's rows and the ratio within 1e-14
+    for lam in lams:
+        for seed in (5, 6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = spaces.wallach_search(lam, alg, 12, rng, realization)
+            want = _ref_search(lam, alg, 12, ref_rng, realization)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert got.verdict == want.verdict, (lam, seed)
+            assert np.allclose(got.rows, want.rows, rtol=0, atol=1e-15)
+            assert got.ratio == pytest.approx(want.ratio, abs=1e-14, rel=0)
 
 
 # ---------------------------------------------------------------------------
