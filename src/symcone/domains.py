@@ -15,14 +15,16 @@ log_h_pairs sums log(1 - mu) over the eigenvalues mu of a pencil in the unit
 disc (Z W*, or a 2 x 2 closed form on spin), the continuous branch, and
 siegel_log_delta_pairs shares inverse_cayley_rows' right-tube branch rule.
 
-Points travel as stacks of chart vectors (as_vector per row) where Gram
-matrices and Monte Carlo need many: sample_weighted_bounded draws exactly from
-h(z, z)^(lambda - g) dm over its mass bergman_constant, in polar
-coordinates; sphere_rows draws directions uniform on a sphere; cayley_rows
-carries such rows to the Siegel side with log |Delta(e - z)|, which gives
-the real Jacobian of the map, siegel_log_delta_rows gives log Delta of their
-defect, and inverse_cayley_rows maps tube points back. sample_siegel, the
-one Siegel sampler, is the Cayley image of the uniform draws on D. One
+Points travel as stacks of chart vectors (as_vector per row):
+sample_weighted_bounded draws exactly from h(z, z)^(lambda - g) dm over its
+mass bergman_constant, in polar coordinates; sphere_rows draws directions
+uniform on a sphere; cayley_rows carries such rows to the Siegel side with
+log |Delta(e - z)|, which gives the real Jacobian of the map,
+siegel_log_delta_rows gives log Delta of their defect, and
+inverse_cayley_rows maps Siegel rows back on every family, the half-space
+block included. cayley and inverse_cayley are their one-row calls, and
+affine_chart writes an affine map as (A, b) on chart rows. sample_siegel,
+the one Siegel sampler, is the Cayley image of the uniform draws on D. One
 routine, _frames, draws the Haar unitary frames behind the polar draws,
 the stacks of K chart matrices of haar_K and the unitary part of
 mobius_sample.
@@ -203,49 +205,29 @@ def in_siegel_domain(p: SiegelPoint, tol: float = cones.CONE_TOL) -> bool:
 # Cayley transform
 # ---------------------------------------------------------------------------
 
-def cayley(p: BoundedPoint) -> SiegelPoint:
-    """z -> i (e - z1)^(-1) (e + z1), zeta -> (e - z1)^(-1) zeta."""
-    alg = p.alg
-    e = eja.identity(alg)
-    if alg.family == "herm_complex":
-        Z = eja.embed_matrix(p.z1.as_complex())
-        I = np.eye(alg.size)
+def _one_row(rows, alg: AlgebraDescriptor, v: np.ndarray, pole: str) -> np.ndarray:
+    """The first output of rows(alg, stack) on the one-row stack of v, as a
+    row. A division by zero or a singular matrix on the way is the pole of
+    the transform and raises ValueError, without numpy warnings."""
+    with np.errstate(divide="raise", invalid="raise"):
         try:
-            inv = np.linalg.inv(I - Z)
-        except np.linalg.LinAlgError:
-            raise ValueError("pole of the transform: e - z1 is singular")
-        w = eja.unembed_matrix(alg, 1j * inv @ (I + Z))
-        omega = inv @ p.zeta if alg.siegel_n else None
-        return SiegelPoint(alg, omega, w)
-    try:
-        inv = eja.inverse(e - p.z1.as_complex())
-    except np.linalg.LinAlgError:
-        raise ValueError("pole of the transform: e - z1 is singular")
-    # inv and e + z1 generate an associative subalgebra, the product is safe
-    w = 1j * eja.jordan_product(inv, e + p.z1.as_complex())
-    return SiegelPoint(alg, None, w)
+            return rows(alg, v[None])[0][0]
+        except (FloatingPointError, np.linalg.LinAlgError):
+            raise ValueError(f"pole of the transform: {pole} is singular") from None
+
+
+def cayley(p: BoundedPoint) -> SiegelPoint:
+    """z -> i (e - z1)^(-1) (e + z1), zeta -> (e - z1)^(-1) zeta: cayley_rows
+    on the one row of p."""
+    return siegel_from_vector(p.alg, _one_row(cayley_rows, p.alg, p.as_vector(),
+                                              "e - z1"))
 
 
 def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
-    """w -> (w - ie)(w + ie)^(-1), omega -> 2i (w + ie)^(-1) omega."""
-    alg = p.alg
-    e = eja.identity(alg)
-    if alg.family == "herm_complex":
-        W = eja.embed_matrix(p.z)
-        I = np.eye(alg.size)
-        try:
-            inv = np.linalg.inv(W + 1j * I)
-        except np.linalg.LinAlgError:
-            raise ValueError("pole of the transform: w + ie is singular")
-        z1 = eja.unembed_matrix(alg, (W - 1j * I) @ inv)
-        zeta = 2j * inv @ p.zeta if alg.siegel_n else None
-        return BoundedPoint(alg, z1, zeta)
-    try:
-        inv = eja.inverse(p.z + 1j * e)
-    except np.linalg.LinAlgError:
-        raise ValueError("pole of the transform: w + ie is singular")
-    z1 = eja.jordan_product(p.z - 1j * e, inv)
-    return BoundedPoint(alg, z1, None)
+    """w -> (w - ie)(w + ie)^(-1), omega -> 2i (w + ie)^(-1) omega:
+    inverse_cayley_rows on the one row of p."""
+    return bounded_from_vector(p.alg, _one_row(inverse_cayley_rows, p.alg,
+                                               p.as_vector(), "w + ie"))
 
 
 def _matrix_rows(alg: AlgebraDescriptor, V: np.ndarray) -> np.ndarray:
@@ -309,14 +291,23 @@ def _log_delta_tube(alg: AlgebraDescriptor, Z: Optional[np.ndarray],
 
 
 def inverse_cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
-    """inverse_cayley on a stack of tube-family z-chart rows w, as z-chart
-    rows z = e - 2i u^(-1), u = w + ie, with log Delta(u / 2i) on the
+    """The inverse Cayley transform on a stack of Siegel z-chart rows
+    (w, omega), as bounded z-chart rows z = e - 2i u^(-1),
+    zeta = 2i u^(-1) omega with u = w + ie, and log Delta(u / 2i) on the
     continuous branch of _log_delta_tube."""
+    m = alg.dim_m
     ez = eja.to_zchart(eja.identity(alg))
-    U = np.asarray(V, dtype=complex) + 1j * ez
-    Z = None if alg.rank <= 2 else U / 2j
+    V = np.asarray(V, dtype=complex)
+    U = V.copy()
+    U[:, :m] += 1j * ez
+    Z = None if alg.rank <= 2 else U[:, :m] / 2j
     inv, det = _jordan_inverse_rows(alg, U)
-    return ez - 2j * inv, _log_delta_tube(alg, Z, det / (2j) ** alg.rank)
+    out = ez - 2j * inv
+    if alg.siegel_n:
+        omega = V[:, m:].reshape(len(V), alg.size, -1)
+        zeta = (2j * _matrix_rows(alg, inv) @ omega).reshape(len(V), -1)
+        out = np.concatenate([out, zeta], axis=1)
+    return out, _log_delta_tube(alg, Z, det / (2j) ** alg.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +492,19 @@ def triangular_apply(t: cones.TriangularElement, p: SiegelPoint) -> SiegelPoint:
 
 def affine_apply(m: AffineMap, p: SiegelPoint) -> SiegelPoint:
     return heisenberg_apply(m.alg, m.zeta0, m.x0, triangular_apply(m.tri, p))
+
+
+def affine_chart(m: AffineMap):
+    """(A, b) with affine_apply(m, p) = A v + b on the z-chart row v of p.
+
+    The triangular part and 2i Phi(zeta, zeta0) are complex-linear in the
+    row, so the action is complex-affine: b is the image of the row 0 and
+    column k of A the image of e_k less b. A stack V maps to V @ A.T + b.
+    """
+    d = m.alg.zdim
+    rows = np.array([affine_apply(m, siegel_from_vector(m.alg, v)).as_vector()
+                     for v in np.vstack([np.zeros(d), np.eye(d)])])
+    return (rows[1:] - rows[0]).T, rows[0]
 
 
 def heisenberg_product(alg, n1, n2):
@@ -860,7 +864,7 @@ def sample_weighted_bounded(alg: AlgebraDescriptor, lam: float, n: int,
 
 
 def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
-    """cayley on a stack of bounded z-chart rows: Siegel rows
+    """The Cayley transform on a stack of bounded z-chart rows: Siegel rows
     w = i (e + z)(e - z)^(-1) = 2i (e - z)^(-1) - ie, with
     omega = (e - z)^(-1) zeta for herm_complex(p, q > p), and
     log |Delta(e - z)|, which gives the real Jacobian in z-chart coordinates.

@@ -7,7 +7,8 @@ Conventions used throughout and echoed in reports:
   - kernel(lambda) means generic_norm^(-lambda) on the bounded side and the
     matching Siegel kernel on the unbounded side;
   - points travel as stacks of chart rows (point_vector): Gram matrices,
-    atomic sums, batch evaluators and Monte Carlo blocks work on them;
+    Monte Carlo blocks and every function work on them, and a function
+    evaluates a single point as a stack of one row;
   - all integrals are Lebesgue on the unitary chart coordinates, with no
     1/pi style normalizations;
   - series norms report (value, last-shell magnitude) so truncation quality
@@ -17,7 +18,7 @@ Conventions used throughout and echoed in reports:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,37 +44,25 @@ def point_vector(p) -> np.ndarray:
 
 @dataclass
 class HolFunction:
-    """Evaluator plus optional Taylor polynomial at the base point.
+    """Batch evaluator plus optional Taylor polynomial at the base point.
 
-    batch evaluates on a stack of chart vectors, one point_vector per row;
-    by default it maps the evaluator over the rows.
+    batch evaluates on an (n, d) stack of chart rows, one point_vector per
+    row; a point is evaluated as a stack of one row.
     """
     alg: AlgebraDescriptor
-    evaluator: Callable[[object], complex]
+    batch: Callable[[np.ndarray], np.ndarray]
     taylor: Optional[SparsePolynomial] = None
     domain: str = "bounded"  # or "siegel"
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # (f, lambda) when this is the Cayley transport T f of transport_to_siegel
     transported: Optional[Tuple["HolFunction", float]] = None
 
-    def __post_init__(self):
-        if self.batch is None:
-            self.batch = self._map_rows
-
     def __call__(self, p) -> complex:
-        return self.evaluator(p)
-
-    def _map_rows(self, V: np.ndarray) -> np.ndarray:
-        point = (domains.bounded_from_vector if self.domain == "bounded"
-                 else domains.siegel_from_vector)
-        return np.array([self.evaluator(point(self.alg, v)) for v in V],
-                        dtype=complex)
+        return complex(self.batch(point_vector(p)[None])[0])
 
 
 def poly_function(alg: AlgebraDescriptor, poly: SparsePolynomial,
                   domain: str = "bounded") -> HolFunction:
-    return HolFunction(alg, lambda p: complex(poly.eval(point_vector(p))),
-                       taylor=poly, domain=domain, batch=poly.eval)
+    return HolFunction(alg, poly.eval, taylor=poly, domain=domain)
 
 
 def zero_function(alg: AlgebraDescriptor, domain: str = "bounded") -> HolFunction:
@@ -176,7 +165,7 @@ def _small_rotation(rng: np.random.Generator, dim: int, scale: float) -> np.ndar
 def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
                       realization: str):
     """Symmetric +/- pair cluster around a base point, as (2k, d) chart
-    rows, or None when no shrink of it fits in the bounded domain.
+    rows, or None when it does not fit in the bounded domain.
 
     Positivity failures inside the gaps of the admissible parameter set are
     jet effects: a diffuse configuration never sees them.  When the minor
@@ -203,12 +192,10 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
         base[alg.dim_m:] = 0.05 * rng.standard_normal(alg.siegel_n)
     else:
         base = 0.05 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    for _ in range(8):
-        off = (eps0 * eps_rel * dirs).T
-        V = np.stack([base + off, base - off], axis=1).reshape(2 * k, d)
-        if realization == "siegel" or domains.in_bounded_domain(V, alg=alg).all():
-            return V
-        base, eps0 = 0.6 * base, 0.6 * eps0
+    off = (eps0 * eps_rel * dirs).T
+    V = np.stack([base + off, base - off], axis=1).reshape(2 * k, d)
+    if realization == "siegel" or domains.in_bounded_domain(V, alg=alg).all():
+        return V
     return None
 
 
@@ -396,8 +383,7 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
         Z, logdelta = domains.inverse_cayley_rows(alg, V)
         return f.batch(Z) * np.exp(-lam * logdelta)
 
-    return HolFunction(alg, lambda w: complex(batch(point_vector(w)[None])[0]),
-                       domain="siegel", batch=batch, transported=(f, float(lam)))
+    return HolFunction(alg, batch, domain="siegel", transported=(f, float(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -560,16 +546,27 @@ def sup_norm_max_space(f: HolFunction, lam: float,
     return max((weighted_modulus(f, lam, p) for p in grid), default=0.0)
 
 
+def _kernel_sum(alg: AlgebraDescriptor, lam: float, C: np.ndarray,
+                coeffs: np.ndarray, siegel: bool) -> HolFunction:
+    """sum_j a_j K(., c_j) over the chart rows C of the centers, each Siegel
+    kernel times Delta^(lambda/2)(defect of c_j): a stack of rows against
+    all centers is one call of the picture's pair kernel."""
+    if siegel:
+        coeffs = coeffs * np.exp(0.5 * lam * domains.siegel_log_delta_rows(alg, C))
+        pairs, dom = domains.siegel_log_delta_pairs, "siegel"
+    else:
+        pairs, dom = domains.log_h_pairs, "bounded"
+
+    def batch(V: np.ndarray) -> np.ndarray:
+        return np.exp(-lam * pairs(alg, V, C)) @ coeffs
+
+    return HolFunction(alg, batch, domain=dom)
+
+
 def siegel_kernel_atom(lam: float, center: SiegelPoint) -> HolFunction:
     """Kernel at the center, normalized so its weighted modulus there is 1."""
-    alg = center.alg
-    defect = domains.siegel_defect(center)
-    norm = cones.delta_power(defect, np.full(alg.rank, lam / 2.0))
-
-    def ev(w) -> complex:
-        return domains.kernel_siegel(lam, w, center) * norm
-
-    return HolFunction(alg, ev, domain="siegel")
+    return _kernel_sum(center.alg, lam, point_vector(center)[None],
+                       np.ones(1), siegel=True)
 
 
 @dataclass
@@ -629,8 +626,7 @@ def lattice_generate(delta: float, region, alg: AlgebraDescriptor) -> Lattice:
 
 def atomic_synthesis(coeffs: Sequence[complex], lattice: Lattice,
                      lam: float) -> HolFunction:
-    """Finite atomic sum sum_j a_j (normalized kernel atom at p_j): a stack
-    of rows against all atoms is one call of the picture's pair kernel."""
+    """Finite atomic sum sum_j a_j (normalized kernel atom at p_j)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be summable (finite)")
@@ -641,18 +637,7 @@ def atomic_synthesis(coeffs: Sequence[complex], lattice: Lattice,
     if lam <= 2.0 * (alg.dim_m / alg.rank - 1.0):
         raise ValueError("atoms need a parameter above 2(m/r - 1)")
     C = np.array([point_vector(p) for p in pts])
-    if isinstance(pts[0], SiegelPoint):
-        # the siegel_kernel_atom normalization Delta^(lambda/2)(defect)
-        coeffs = coeffs * np.exp(0.5 * lam * domains.siegel_log_delta_rows(alg, C))
-        pairs, dom = domains.siegel_log_delta_pairs, "siegel"
-    else:
-        pairs, dom = domains.log_h_pairs, "bounded"
-
-    def batch(V: np.ndarray) -> np.ndarray:
-        return np.exp(-lam * pairs(alg, V, C)) @ coeffs
-
-    return HolFunction(alg, lambda w: complex(batch(point_vector(w)[None])[0]),
-                       domain=dom, batch=batch)
+    return _kernel_sum(alg, lam, C, coeffs, isinstance(pts[0], SiegelPoint))
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +687,16 @@ def affine_inverse(phi: AffineMap) -> AffineMap:
 def u_lambda_affine(f: HolFunction, phi: AffineMap, lam: float) -> HolFunction:
     """(f о phi^{-1}) |J phi^{-1}|^(lambda/g) with the holomorphic Jacobian
     modulus (the square root of the real one); affine Jacobians are constant.
-    On the disc this is the usual |phi'|^(lambda/2) weight."""
-    alg = f.alg
-    inv = affine_inverse(phi)
+    On the disc this is the usual |phi'|^(lambda/2) weight. phi^{-1} acts on
+    the rows as the (A, b) of domains.affine_chart."""
+    A, b = domains.affine_chart(affine_inverse(phi))
     jac = 1.0 / math.sqrt(domains.affine_real_jacobian(phi))
-    scale = jac ** (lam / alg.genus)
+    scale = jac ** (lam / f.alg.genus)
 
-    def ev(w: SiegelPoint) -> complex:
-        return f(domains.affine_apply(inv, w)) * scale
+    def batch(V: np.ndarray) -> np.ndarray:
+        return f.batch(V @ A.T + b) * scale
 
-    return HolFunction(alg, ev, domain="siegel")
+    return HolFunction(f.alg, batch, domain="siegel")
 
 
 # ---------------------------------------------------------------------------
@@ -823,17 +808,6 @@ def box_operator(alg: AlgebraDescriptor, f: SparsePolynomial,
     return out
 
 
-def _tri_chart_matrix(alg: AlgebraDescriptor,
-                      t: cones.TriangularElement) -> np.ndarray:
-    cols = []
-    for kk in range(alg.dim_m):
-        e = np.zeros(alg.dim_m, dtype=complex)
-        e[kk] = 1.0
-        x = eja.from_zchart(alg, e)
-        cols.append(eja.to_zchart(cones.t_action(t, x)))
-    return np.column_stack(cols)
-
-
 def intertwine_check_tube(alg: AlgebraDescriptor, f: SparsePolynomial,
                           lam: float, affine_maps: Sequence[AffineMap],
                           test_points: Sequence[SiegelPoint]) -> float:
@@ -841,7 +815,8 @@ def intertwine_check_tube(alg: AlgebraDescriptor, f: SparsePolynomial,
 
     k = m/r - lam must be a non-negative integer. Everything is exact
     polynomial algebra: compose with the inverse affine map, scale by the
-    constant Jacobian power, apply the symbol-of-Delta operator.
+    constant Jacobian power, apply the symbol-of-Delta operator; the
+    inverse map acts on the chart as the (M, shift) of domains.affine_chart.
     """
     if not alg.is_tube:
         raise ValueError("tube families only")
@@ -850,12 +825,10 @@ def intertwine_check_tube(alg: AlgebraDescriptor, f: SparsePolynomial,
     if k < 0 or abs(mr - lam - k) > 1e-9:
         raise ValueError("m/r - lambda must be a non-negative integer")
     lam2 = lam + 2 * k
-    pts = np.array([eja.to_zchart(p.z) for p in test_points])
+    pts = np.array([point_vector(p) for p in test_points])
     worst = 0.0
     for phi in affine_maps:
-        ti = phi.tri.inverse()
-        M = _tri_chart_matrix(alg, ti)
-        shift = -(M @ eja.to_zchart(phi.x0.as_complex()))
+        M, shift = domains.affine_chart(affine_inverse(phi))
         jac_inv = 1.0 / math.sqrt(domains.affine_real_jacobian(phi))
         fu = f.compose_affine(M, shift) * jac_inv ** (lam / alg.genus)
         lhs = box_operator(alg, fu, k)

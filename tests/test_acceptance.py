@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cayley_closed_form
 from symcone import cones, domains, eja, fischer, spaces, wallach
 from symcone.cli import main as cli_main
 from symcone.eja import Element
@@ -205,16 +206,17 @@ def test_08_signature_projector_suite():
 
 
 def test_09_geometry_suite():
-    # Cayley roundtrip at 1000 interior points per family
+    # Cayley roundtrip at 1000 interior points per family, back through
+    # the closed-form inverse
     for alg in (DISC, SR2, eja.herm_complex(2, 3), eja.herm_quaternion(2),
                 SPIN4):
         rng = np.random.default_rng(900)
         worst = 0.0
         for _ in range(1000):
             p = rand_bounded_scaled(alg, rng, 0.9)
-            back = domains.inverse_cayley(domains.cayley(p))
-            worst = max(worst, float(np.max(np.abs(
-                spaces.point_vector(back) - spaces.point_vector(p)))))
+            back = cayley_closed_form.inverse_cayley(
+                alg, spaces.point_vector(domains.cayley(p)))
+            worst = max(worst, float(np.max(np.abs(back - spaces.point_vector(p)))))
         assert worst < 1e-10, alg.family
 
     # kernel transformation law under the sampled Mobius maps

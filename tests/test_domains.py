@@ -1,8 +1,11 @@
 """Bounded/Siegel realizations: membership, Cayley, kernels, actions, samplers."""
 
+import functools
+
 import numpy as np
 import pytest
 
+import cayley_closed_form
 from symcone import cones, domains, eja
 from symcone.domains import BoundedPoint, SiegelPoint
 from symcone.eja import Element
@@ -201,36 +204,35 @@ def test_cayley_at_zero_and_disc_value():
 
 
 def test_cayley_roundtrip_and_membership():
+    # cayley, then the closed-form inverse
     for alg in ALGS:
         worst = 0.0
         for _ in range(120):
             p = rand_bounded(alg, RNG, radius=0.97)
             s = domains.cayley(p)
             assert domains.in_siegel_domain(s)
-            back = domains.inverse_cayley(s)
-            err = np.max(np.abs(back.z1.coords - p.z1.coords))
-            if alg.siegel_n:
-                err = max(err, np.max(np.abs(back.zeta - p.zeta)))
-            worst = max(worst, err)
+            back = cayley_closed_form.inverse_cayley(alg, s.as_vector())
+            worst = max(worst, np.max(np.abs(back - p.as_vector())))
         assert worst < 1e-10
 
 
 def test_cayley_inverse_from_siegel_side():
+    # inverse_cayley, then the closed-form transform
     for alg in ALGS:
         for _ in range(40):
             s = rand_siegel(alg, RNG)
             p = domains.inverse_cayley(s)
             assert domains.in_bounded_domain(p, tol=0.0)
-            s2 = domains.cayley(p)
-            assert np.allclose(s2.z.coords, s.z.coords, atol=1e-8)
-            if alg.siegel_n:
-                assert np.allclose(s2.zeta, s.zeta, atol=1e-8)
+            s2 = cayley_closed_form.cayley(alg, p.as_vector())
+            assert np.allclose(s2, s.as_vector(), atol=1e-8)
 
 
 def test_cayley_pole_raises():
     e = eja.identity(DISC).as_complex()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="e - z1"):
         domains.cayley(BoundedPoint(DISC, e))
+    with pytest.raises(ValueError, match="w \\+ ie"):
+        domains.inverse_cayley(SiegelPoint(DISC, None, -1j * e))
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +630,19 @@ def test_affine_preserves_domain():
             assert domains.in_siegel_domain(domains.affine_apply(m, p), tol=0.0)
 
 
+def test_affine_chart_acts_on_rows_as_affine_apply():
+    # V @ A.T + b against affine_apply point by point, the Heisenberg twist
+    # 2i Phi(zeta, zeta0) of the non-tube families included
+    rng = np.random.default_rng(37)
+    for alg in ALGS:
+        m = rand_affine(alg, rng)
+        A, b = domains.affine_chart(m)
+        V = domains.sample_siegel(alg, 5, rng)
+        want = np.array([domains.affine_apply(m, domains.siegel_from_vector(alg, v))
+                         .as_vector() for v in V])
+        assert np.abs(V @ A.T + b - want).max() <= 1e-12 * np.abs(want).max(), alg
+
+
 def test_invariant_measure_examples():
     for alg in ALGS:
         assert domains.invariant_measure_density(
@@ -734,15 +749,10 @@ def test_weighted_draws_are_interior_with_their_log_h():
             assert np.log(h.real) == pytest.approx(lh, abs=1e-10), alg
 
 
-def _siegel_vector(q):
-    v = eja.to_zchart(q.z)
-    return v if q.zeta is None else np.concatenate([v, q.zeta.ravel()])
-
-
 def test_cayley_rows_match_the_per_point_transform_and_its_jacobian():
-    # rows against cayley point by point, log Delta of the defect against
-    # cones.delta_j, and the closed-form |det c'(z)|^2 against the
-    # determinant of a central-difference complex Jacobian
+    # rows against the closed-form transform point by point, log Delta of
+    # the defect against cones.delta_j, and the closed-form |det c'(z)|^2
+    # against the determinant of a central-difference complex Jacobian
     rng = np.random.default_rng(32)
     h = 1e-5
     for alg in WEIGHTED:
@@ -751,12 +761,11 @@ def test_cayley_rows_match_the_per_point_transform_and_its_jacobian():
         W, logdet = domains.cayley_rows(alg, V)
         logjac = 2 * alg.dim_m * np.log(2.0) - 2 * alg.genus * logdet
         logdelta = domains.siegel_log_delta_rows(alg, W)
+        c = functools.partial(cayley_closed_form.cayley, alg)
         for v, w, lj, ld, ldet in zip(V, W, logjac, logdelta, logdet):
-            def c(x):
-                return _siegel_vector(domains.cayley(domains.bounded_from_vector(alg, x)))
             z = domains.bounded_from_vector(alg, v)
-            q = domains.cayley(z)
-            assert np.allclose(w, _siegel_vector(q), rtol=0, atol=1e-11), alg
+            q = domains.siegel_from_vector(alg, c(v))
+            assert np.allclose(w, c(v), rtol=0, atol=1e-11), alg
             d = cones.delta_j(eja.identity(alg) - z.z1, alg.rank)
             assert np.exp(ldet) == pytest.approx(abs(d), rel=1e-12), alg
             want = cones.delta_j(domains.siegel_defect(q), alg.rank)
@@ -789,15 +798,15 @@ def test_rank2_radial_draws_follow_their_beta_laws(alg):
 
 
 def test_inverse_cayley_rows_undoes_cayley_rows():
-    # on every tube family, with (w + ie)/2i = (e - z)^(-1): the real part
+    # on every family, the half-space block of herm_complex(1, 2), (1, 3)
+    # and (2, 3) included, with (w + ie)/2i = (e - z)^(-1): the real part
     # of the log Delta it returns is -log |Delta(e - z)|
     rng = np.random.default_rng(34)
     for alg in WEIGHTED:
-        if not alg.is_tube:
-            continue
         V, _ = domains.sample_weighted_bounded(alg, alg.genus + 0.5, 50, rng)
         W, logdet = domains.cayley_rows(alg, V)
         Z, logdelta = domains.inverse_cayley_rows(alg, W)
+        assert Z.shape == (50, alg.zdim), alg
         assert np.abs(Z - V).max() <= 1e-12, alg
         assert np.allclose(logdelta.real, -logdet, rtol=0, atol=1e-12), alg
 

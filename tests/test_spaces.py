@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cayley_closed_form
 from symcone import cones, domains, eja, fischer, spaces, wallach
 from symcone.eja import Element
 from symcone.poly import SparsePolynomial, monomial_table
@@ -451,9 +452,8 @@ def test_bergman_disc_monomial_ratio():
 
 
 def test_bergman_evaluator_only_path_matches_oracle():
-    # no Taylor data and no batch evaluator: the default batch maps the
-    # evaluator over the accepted rows
-    f = spaces.HolFunction(DISC, lambda p: complex(p.as_vector()[0]) ** 2)
+    # no Taylor data: the batch evaluator alone
+    f = spaces.HolFunction(DISC, lambda V: V[:, 0] ** 2)
     norm, se = spaces.bergman_norm_mc(f, 2.0, DISC, 20000,
                                       np.random.default_rng(6))
     assert norm ** 2 == pytest.approx(np.pi / 3.0, abs=8 * se * 2 * norm)
@@ -536,12 +536,12 @@ def test_siegel_estimate_is_the_bounded_one_times_two_to_twice_the_dimension(alg
 @pytest.mark.parametrize("alg", TUBE_FAMILIES, ids=str)
 def test_siegel_estimate_through_the_bounded_rows_matches_the_siegel_rows(alg):
     # a transported f is evaluated at the bounded rows z; a function with the
-    # same evaluators but no bounded function goes through f.batch on the
+    # same evaluator but no bounded function goes through f.batch on the
     # Cayley images w, which inverts them again: one seed, one estimate
     lam = alg.genus + 0.5
     fb = spaces.poly_function(alg, rand_poly(alg.zdim, 2, np.random.default_rng(44)))
     fs = spaces.transport_to_siegel(fb, lam)
-    plain = spaces.HolFunction(alg, fs.evaluator, domain="siegel", batch=fs.batch)
+    plain = spaces.HolFunction(alg, fs.batch, domain="siegel")
     assert fs.transported == (fb, lam) and plain.transported is None
     n = spaces.BLOCK + 500
     norm, se = spaces.bergman_norm_mc(fs, lam, alg, n, np.random.default_rng(45),
@@ -641,8 +641,7 @@ def test_hardy_zero_function():
 def test_hardy_halfplane_closed_form():
     # f = (z + i)^(-2): integral over the line at height 1 + t is
     # pi / (2 (1 + t)^3), so the sup over the cone grid sits at t = 0.02
-    f = spaces.HolFunction(HALF, lambda p: (complex(p.z.coords[0]) + 1j) ** -2.0,
-                           domain="siegel")
+    f = spaces.HolFunction(HALF, lambda V: (V[:, 0] + 1j) ** -2.0, domain="siegel")
     val = spaces.hardy_norm_mc(f, HALF, 60000, np.random.default_rng(9),
                                realization="siegel", cone_grid=(0.02, 0.5))
     want = math.sqrt(math.pi / (2.0 * 1.02 ** 3))
@@ -678,6 +677,24 @@ def test_sup_norm_affine_invariance():
         grid2 = [domains.affine_apply(phi, p) for p in grid]
         v = spaces.sup_norm_max_space(moved, lam, grid2)
         assert v == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("alg", [SR2, BALL2, eja.herm_complex(2, 3)], ids=str)
+def test_u_lambda_affine_rows_match_the_point_route(alg):
+    # the rows V @ A.T + b against f(affine_apply(affine_inverse(phi), p)) *
+    # scale point by point; off the tubes b and A carry 2i Phi(zeta, zeta0)
+    rng = np.random.default_rng(19)
+    lam = alg.genus + 0.5
+    f = spaces.poly_function(alg, rand_poly(alg.zdim, 3, rng), domain="siegel")
+    for _ in range(3):
+        phi = rand_affine(alg, rng)
+        inv = spaces.affine_inverse(phi)
+        scale = domains.affine_real_jacobian(phi) ** (-lam / (2.0 * alg.genus))
+        V = domains.sample_siegel(alg, 6, rng)
+        want = np.array([f(domains.affine_apply(inv, domains.siegel_from_vector(alg, v)))
+                         for v in V]) * scale
+        got = spaces.u_lambda_affine(f, phi, lam).batch(V)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), alg
 
 
 def test_affine_inverse_roundtrip():
@@ -915,6 +932,11 @@ def test_intertwine_tube_needs_lattice_parameter():
 # Cayley transport
 # ---------------------------------------------------------------------------
 
+def kernel_rows(lam, w):
+    """The batch evaluator of K_lambda(., w) on bounded chart rows."""
+    return lambda V: np.exp(-lam * domains.log_h_pairs(w.alg, V, w.as_vector()[None]))[:, 0]
+
+
 def transport_factor(lam, w):
     """Delta^(-lambda)((z + ie)/2i) by cones.delta_power_complex, the
     per-point reference for the factor of transport_to_siegel."""
@@ -927,7 +949,7 @@ def test_transport_preserves_kernel_pairings():
     # the fixed unitary constant, checked through two independent points
     lam = 3.0
     w = disc_pt(0.2 - 0.1j)
-    f = spaces.HolFunction(DISC, lambda p: domains.kernel_bounded(lam, p, w),
+    f = spaces.HolFunction(DISC, kernel_rows(lam, w),
                            taylor=fischer.kernel_taylor(lam, w, 40))
     fs = spaces.transport_to_siegel(f, lam)
     cw = domains.cayley(w)
@@ -945,16 +967,16 @@ TUBES = [eja.sym_real(1), eja.sym_real(2), eja.sym_real(3), eja.herm_complex(1),
 
 def test_transport_batch_matches_per_point_evaluator():
     # one batched inverse Cayley transform and log Delta per stack against
-    # inverse_cayley and delta_power_complex point by point, on Siegel draws;
-    # the evaluator on one point is the batch path on one row
+    # the closed-form inverse and delta_power_complex point by point, on
+    # Siegel draws; a point is evaluated as a stack of one row
     rng = np.random.default_rng(23)
     for alg in TUBES:
         fb = spaces.poly_function(alg, rand_poly(alg.dim_m, 2, rng))
         f = spaces.transport_to_siegel(fb, 2.5)
         V = domains.sample_siegel(alg, 8, rng)
         pts = [domains.siegel_from_vector(alg, v) for v in V]
-        want = [fb(domains.inverse_cayley(p)) * transport_factor(2.5, p)
-                for p in pts]
+        want = [fb.taylor.eval(cayley_closed_form.inverse_cayley(alg, v))
+                * transport_factor(2.5, p) for v, p in zip(V, pts)]
         assert np.allclose(f.batch(V), want, rtol=1e-12, atol=0.0), alg
         assert np.allclose([f(p) for p in pts], want, rtol=1e-12, atol=0.0), alg
 
@@ -962,7 +984,7 @@ def test_transport_batch_matches_per_point_evaluator():
 def test_taylor_backed_function_consistency():
     lam = 1.5
     w = disc_pt(0.3)
-    f = spaces.HolFunction(DISC, lambda p: domains.kernel_bounded(lam, p, w),
+    f = spaces.HolFunction(DISC, kernel_rows(lam, w),
                            taylor=fischer.kernel_taylor(lam, w, 30))
     for z in (0.0, 0.2, -0.15 + 0.1j):
         tv = complex(f.taylor.eval(np.array([z], dtype=complex)))
