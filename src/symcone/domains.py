@@ -17,9 +17,10 @@ siegel_log_delta_pairs shares inverse_cayley_rows' right-tube branch rule.
 
 Points travel as stacks of chart vectors (as_vector per row):
 sample_weighted_bounded draws exactly from h(z, z)^(lambda - g) dm over its
-mass bergman_constant, in polar coordinates; sphere_rows draws directions
-uniform on a sphere; cayley_rows carries such rows to the Siegel side with
-log |Delta(e - z)|, which gives the real Jacobian of the map,
+mass bergman_constant, in polar coordinates (at t = 1, the Shilov boundary
+K.e); sphere_rows draws directions uniform on a sphere; cayley_rows carries
+such rows to the Siegel side with log |Delta(e - z)|, which gives the real
+Jacobian of the map,
 siegel_log_delta_rows gives log Delta of their defect, and
 inverse_cayley_rows maps Siegel rows back on every family, the half-space
 block included. cayley and inverse_cayley are their one-row calls, and
@@ -103,8 +104,9 @@ def _split_row(alg: AlgebraDescriptor, v) -> tuple:
 
 
 def bounded_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> BoundedPoint:
+    """The point of one row, its element complex like SiegelPoint.z."""
     z, zeta = _split_row(alg, v)
-    return BoundedPoint(alg, eja.from_zchart(alg, z), zeta)
+    return BoundedPoint(alg, Element(alg, z @ eja._chart(alg)["from_z"]), zeta)
 
 
 @dataclass
@@ -126,7 +128,7 @@ class SiegelPoint:
 def siegel_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> SiegelPoint:
     """Inverse of SiegelPoint.as_vector."""
     z, zeta = _split_row(alg, v)
-    return SiegelPoint(alg, zeta, eja.from_zchart(alg, z))
+    return SiegelPoint(alg, zeta, Element(alg, z @ eja._chart(alg)["from_z"]))
 
 
 def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
@@ -143,8 +145,7 @@ def spectral_norm(p, alg: Optional[AlgebraDescriptor] = None):
 
     One routine for all three, every product taken row by row, so a row's
     norm has the same bits alone, in a stack or as its point (rows reach the
-    algebra coordinates as v[:dim_m] @ from_z), except where
-    bounded_from_vector drops an imaginary part below 1e-11 (eja._realify).
+    algebra coordinates as v[:dim_m] @ from_z, as bounded_from_vector does).
     """
     if isinstance(p, BoundedPoint):
         alg, X, zeta = p.alg, p.z1.coords, p.zeta
@@ -251,8 +252,7 @@ def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
     other ranks invert the matrix picture.
     """
     chart = eja._chart(alg)
-    e = eja.identity(alg)
-    ez = eja.to_zchart(e)
+    ez = chart["ez"]
     det = cones.minor_polynomials(alg)[-1].eval(U)
     X = U[:, : alg.dim_m]
     if alg.rank == 1:
@@ -262,7 +262,7 @@ def _jordan_inverse_rows(alg: AlgebraDescriptor, U: np.ndarray):
         # written over U one coordinate at a time
         q = np.conj(det)
         q *= 1.0 / (np.square(det.real) + np.square(det.imag))
-        tq = X @ (chart["from_z"] @ e.coords)
+        tq = X @ (chart["from_z"] @ chart["e"])
         tq *= q
         for k, x in enumerate(X.T):
             x *= q
@@ -296,7 +296,7 @@ def inverse_cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
     zeta = 2i u^(-1) omega with u = w + ie, and log Delta(u / 2i) on the
     continuous branch of _log_delta_tube."""
     m = alg.dim_m
-    ez = eja.to_zchart(eja.identity(alg))
+    ez = eja._chart(alg)["ez"]
     V = np.asarray(V, dtype=complex)
     U = V.copy()
     U[:, :m] += 1j * ez
@@ -876,7 +876,7 @@ def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
     m = dim_m. Delta((w + ie)/2i) = Delta(e - z)^(-1) on tube domains.
     """
     m = alg.dim_m
-    ez = eja.to_zchart(eja.identity(alg))
+    ez = eja._chart(alg)["ez"]
     X = -np.asarray(V, dtype=complex)
     X[:, :m] += ez
     W, det = _jordan_inverse_rows(alg, X)
@@ -918,6 +918,6 @@ def siegel_log_delta_rows(alg: AlgebraDescriptor, W: np.ndarray) -> np.ndarray:
         OO = om @ om.conj().transpose(0, 2, 1)
         Y = Y - (OO.reshape(len(W), -1) @ chart["unembed"]).real
     if alg.rank == 2:
-        tr = Y @ eja.identity(alg).coords.real
+        tr = Y @ chart["e"]
         return np.log(0.5 * (np.square(tr) - np.square(Y) @ eja._trace_weights(alg)))
     return _log_delta_tube(alg, Y @ chart["to_z"]).real

@@ -284,7 +284,8 @@ def _chart(alg: AlgebraDescriptor) -> dict:
 
     'to_z', 'from_z' and 'conj' (to_zchart(x.conj()) = conj(to_zchart(x))
     @ conj, a signed permutation rounded to exact) for every family; 'embed',
-    'unembed' and the matrix size 'n' for the matrix families only.
+    'unembed' and the matrix size 'n' for the matrix families only. Beside
+    them, read-only, the identity's coordinates 'e' and its z-chart row 'ez'.
     """
     if "chart" in alg._cache:
         return alg._cache["chart"]
@@ -311,6 +312,10 @@ def _chart(alg: AlgebraDescriptor) -> dict:
     out["to_z"] = C.T
     out["from_z"] = (C.conj().T / _trace_weights(alg)[:, None]).T
     out["conj"] = np.rint((np.conj(out["from_z"]) @ out["to_z"]).real)
+    e = (np.r_[1.0, 1.0, np.zeros(alg.dim_m - 2)] if alg.family == "spin" else
+         (np.eye(_block_size(alg) * alg.size).reshape(-1) @ out["unembed"]).real)
+    out["e"], out["ez"] = e, e @ out["to_z"]
+    e.flags.writeable = out["ez"].flags.writeable = False
     alg._cache["chart"] = out
     return out
 
@@ -381,11 +386,7 @@ def from_zchart(alg: AlgebraDescriptor, v: np.ndarray) -> Element:
 # ---------------------------------------------------------------------------
 
 def identity(alg: AlgebraDescriptor) -> Element:
-    if alg.family == "spin":
-        c = np.zeros(alg.dim_m)
-        c[0] = c[1] = 1.0
-        return Element(alg, c)
-    return unembed_matrix(alg, np.eye(_block_size(alg) * alg.size, dtype=complex))
+    return Element(alg, _chart(alg)["e"])
 
 
 def jordan_product(x: Element, y: Element) -> Element:

@@ -308,4 +308,4 @@ def kernel_taylor(lam: float, w: "domains.BoundedPoint",
         if not upow.coeffs:
             break
         out = out + coef * upow
-    return out.cleanup()
+    return out

@@ -4,9 +4,7 @@ stacks over the monomials of one degree.
 Monomials are keyed by exponent tuples; coefficients are complex scalars.
 This representation is aimed at the moderate degrees (<= 60 in one variable,
 <= 12 in up to ~8 variables) used throughout the package. Arithmetic keeps
-every nonzero coefficient; only cleanup(tol) drops those with modulus below
-tol relative to the largest one, to keep dictionaries from silting up with
-float dust.
+every nonzero coefficient.
 
 Bulk work goes through arrays instead: monomial_table(nvars, degree) fixes
 the order of the monomials of one degree (homogeneous_monomials order) and
@@ -86,18 +84,6 @@ class SparsePolynomial:
         p = SparsePolynomial(self.nvars)
         p.coeffs = dict(self.coeffs)
         return p
-
-    def cleanup(self, tol: float = 1e-14) -> "SparsePolynomial":
-        """Drop coefficients tiny relative to the largest one."""
-        if not self.coeffs:
-            return self
-        top = max(abs(c) for c in self.coeffs.values())
-        if top == 0.0:
-            self.coeffs.clear()
-            return self
-        cut = top * tol
-        self.coeffs = {a: c for a, c in self.coeffs.items() if abs(c) > cut}
-        return self
 
     # -- arithmetic -------------------------------------------------------
 

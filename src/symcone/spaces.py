@@ -10,7 +10,9 @@ Conventions used throughout and echoed in reports:
     Monte Carlo blocks and every function work on them, and a function
     evaluates a single point as a stack of one row;
   - all integrals are Lebesgue on the unitary chart coordinates, with no
-    1/pi style normalizations;
+    1/pi style normalizations, except the bounded Hardy norm: the mean over
+    the Shilov boundary K.e under its K-invariant probability, on every
+    family, so that ||1|| = 1;
   - series norms report (value, last-shell magnitude) so truncation quality
     is observable.
 """
@@ -187,7 +189,7 @@ def _cluster_proposal(alg: AlgebraDescriptor, rng: np.random.Generator,
     eps0 = rng.uniform(0.05, 0.25)
     if realization == "siegel":
         base = np.zeros(d, dtype=complex)
-        base[: alg.dim_m] = (eja.to_zchart(eja.identity(alg)) * 1j
+        base[: alg.dim_m] = (eja._chart(alg)["ez"] * 1j
                              + 0.05 * rng.standard_normal(alg.dim_m))
         base[alg.dim_m:] = 0.05 * rng.standard_normal(alg.siegel_n)
     else:
@@ -371,13 +373,13 @@ def transport_to_siegel(f: HolFunction, lam: float) -> HolFunction:
     of rows, a point being one, takes one inverse Cayley and one log Delta.
     The result keeps (f, lambda) as `transported`: at w = C(z),
     (w + ie)/2i = (e - z)^(-1), so |Tf(w)|^2 = |f(z)|^2 |Delta(e - z)|^(2 lambda),
-    which bergman_norm_mc evaluates at the bounded rows it drew.
+    which bergman_norm_mc evaluates at the bounded rows it drew. Every
+    family, Siegel domains of type II included: inverse_cayley_rows carries
+    the half-space block, and Delta reads only the Z_1 part.
     """
     if f.domain != "bounded":
         raise ValueError("transport expects a bounded-side function")
     alg = f.alg
-    if not alg.is_tube:
-        raise ValueError("transport is implemented for tube domains")
 
     def batch(V: np.ndarray) -> np.ndarray:
         Z, logdelta = domains.inverse_cayley_rows(alg, V)
@@ -490,32 +492,35 @@ def bergman_norm_mc(f: HolFunction, lam: float, alg: AlgebraDescriptor,
 
 def hardy_norm_mc(f: HolFunction, alg: AlgebraDescriptor, n_samples: int,
                   rng: np.random.Generator, realization: str = "bounded",
-                  radius_grid: Optional[Sequence[float]] = None,
                   cone_grid: Optional[Sequence[float]] = None) -> float:
-    """sup over a dilation grid of mean-square boundary integrals, drawn,
-    evaluated through f.batch and folded in blocks of BLOCK samples.
+    """Root mean square of f over a boundary, drawn, evaluated through
+    f.batch and folded in blocks of BLOCK samples.
 
-    Rank-1 bounded: normalized sphere measure on |z| = r, drawn by
-    domains.sphere_rows. Tube: Lebesgue integral over the flat boundary
+    Bounded, every family: the mean of |f|^2 over the Shilov boundary K.e
+    under its K-invariant probability, drawn as the polar draws k.e at t = 1
+    (domains._polar_rows; at rank 1 the sphere_rows directions). That is
+    the norm of the Hardy space H^2 = H_lambda at lambda = zdim / rank
+    (Faraut and Koranyi, J. Funct. Anal. 88, 1990), so ||1|| = 1; for f
+    holomorphic near the closed domain (polynomials, kernels, atoms) it is
+    the sup over the dilations f(rho z), reached at rho = 1.
+    Siegel, tube domains only: the Lebesgue integral over the flat boundary
     x + ih with componentwise Cauchy importance sampling, sup over the cone
-    grid h = t e.
+    grid h = t e. The benchmark's mc_norms workload checks its half-plane
+    value against a quadrature of that grid's sup, so this branch changes
+    only together with that check.
     """
     blocks = _blocks(n_samples)
     if realization == "bounded":
-        if alg.rank != 1:
-            raise ValueError("boundary sampling is rank-1 only here")
-        grid = radius_grid if radius_grid is not None else (
-            0.9, 0.99, 0.999, 0.9999, 0.99999)
+        accs = [(0, 0.0, 0.0)]
 
         def values(b):
-            G = domains.sphere_rows(alg.zdim, b, rng)
-            for r in grid:
-                yield _abs2(f.batch(r * G))
+            yield _abs2(f.batch(domains._polar_rows(alg, np.ones((b, alg.rank)), rng)))
     elif realization == "siegel":
         if not alg.is_tube:
             raise ValueError("flat-boundary sampling is tube-only here")
         grid = cone_grid if cone_grid is not None else (0.02, 0.1, 0.3, 1.0)
-        ez = eja.to_zchart(eja.identity(alg))
+        accs = [(0, 0.0, 0.0)] * len(grid)
+        ez = eja._chart(alg)["ez"]
 
         def values(b):
             X = rng.standard_cauchy(size=(b, alg.dim_m))
@@ -524,7 +529,6 @@ def hardy_norm_mc(f: HolFunction, alg: AlgebraDescriptor, n_samples: int,
                 yield _abs2(f.batch(X + 1j * t * ez)) * w
     else:
         raise ValueError(realization)
-    accs = [(0, 0.0, 0.0)] * len(grid)
     for b in blocks:
         accs = [_fold(acc, x) for acc, x in zip(accs, values(b))]
     return math.sqrt(max((mean for _, mean, _ in accs), default=0.0))

@@ -126,6 +126,16 @@ def test_spectral_norm_of_a_row_matches_its_point_bitwise(alg):
     assert 0 < sum(inside[:100]) < 100
 
 
+def test_points_keep_the_rows_of_nearly_real_points():
+    # a row 1e-11 or 1e-12 off the real points comes back from the point's
+    # as_vector(): the element is complex, no imaginary part is dropped
+    for alg, v in ((eja.herm_complex(1), [0.1 + 1e-11j]),
+                   (eja.sym_real(2), [0.1 + 1e-11j, -0.2, 0.3 - 1e-12j])):
+        v = np.array(v)
+        for make in (domains.bounded_from_vector, domains.siegel_from_vector):
+            assert np.abs(make(alg, v).as_vector() - v).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # Phi and Siegel membership
 # ---------------------------------------------------------------------------

@@ -401,15 +401,17 @@ def test_projector_suite(alg):
 # ---------------------------------------------------------------------------
 
 def test_kernel_taylor_disc_binomial():
+    # every coefficient (lam)_k conj(w)^k / k!, down to 3e-21 of the constant
+    # term at degree 60
     alg = eja.herm_complex(1, 1)
-    wv = 0.3 + 0.2j
-    w = domains.bounded_from_vector(alg, np.array([wv]))
-    lam = 1.4
-    T = fischer.kernel_taylor(lam, w, 10)
-    coef = 1.0
-    for k in range(11):
-        assert T.coeffs.get((k,), 0.0) == pytest.approx(coef * np.conj(wv) ** k)
-        coef *= (lam + k) / (k + 1)
+    for wv, lam, top in ((0.3 + 0.2j, 1.4, 10), (0.4 + 0.1j, 2.5, 60)):
+        w = domains.bounded_from_vector(alg, np.array([wv]))
+        T = fischer.kernel_taylor(lam, w, top)
+        coef = 1.0
+        for k in range(top + 1):
+            want = coef * np.conj(wv) ** k
+            assert abs(T.coeffs.get((k,), 0.0) - want) <= 1e-12 * abs(want), k
+            coef *= (lam + k) / (k + 1)
 
 
 def test_kernel_taylor_lambda_zero():

@@ -90,8 +90,8 @@ def test_gram_coincident_points_rejected():
 
 
 def test_gram_rows_keep_nearly_real_points_apart():
-    # bounded_from_vector makes the row 0.1 + 1e-11 i the point 0.1, as
-    # eja._realify drops the imaginary part; the rows stay 1e-11 apart
+    # the rows 0.1 and 0.1 + 1e-11 i lie 1e-11 apart, and so do their points:
+    # bounded_from_vector keeps the imaginary part
     assert spaces.gram_matrix(1.0, DISC, disc_rows(0.1, 0.1 + 1e-11j)).shape == (2, 2)
     assert spaces.psd_verdict(1.0, DISC, disc_rows(0.1, 0.1 + 1e-11j)).verdict == "PSD"
     with pytest.raises(ValueError, match="coincident"):
@@ -484,9 +484,11 @@ def test_bergman_siegel_proportional_to_series():
     assert max(abs(r / mid - 1.0) for r in ratios) < 0.08
 
 
-TUBE_FAMILIES = [eja.herm_complex(1), eja.sym_real(2), eja.sym_real(3),
-                 eja.herm_complex(2), eja.herm_quaternion(2),
-                 eja.spin_factor(4), eja.spin_factor(5)]
+# the tube families, then the Siegel domains of type II
+SIEGEL_FAMILIES = [eja.herm_complex(1), eja.sym_real(2), eja.sym_real(3),
+                   eja.herm_complex(2), eja.herm_quaternion(2),
+                   eja.spin_factor(4), eja.spin_factor(5),
+                   BALL2, eja.herm_complex(1, 3), eja.herm_complex(2, 3)]
 
 
 @pytest.mark.parametrize("alg", [
@@ -505,7 +507,7 @@ def test_weighted_draws_reproduce_the_series_norm(alg):
         assert abs(x.mean() - want) <= 5 * x.std() / math.sqrt(len(x)), lam
 
 
-@pytest.mark.parametrize("alg", TUBE_FAMILIES, ids=str)
+@pytest.mark.parametrize("alg", SIEGEL_FAMILIES, ids=str)
 def test_siegel_estimate_is_the_bounded_one_times_two_to_twice_the_dimension(alg):
     # the Siegel draws are the Cayley images of the bounded ones, and a
     # transported polynomial has weight 2^(2 dim_m) c_lambda |f(z)|^2: with
@@ -533,7 +535,7 @@ def test_siegel_estimate_is_the_bounded_one_times_two_to_twice_the_dimension(alg
     assert se <= 1e-8 * norm
 
 
-@pytest.mark.parametrize("alg", TUBE_FAMILIES, ids=str)
+@pytest.mark.parametrize("alg", SIEGEL_FAMILIES, ids=str)
 def test_siegel_estimate_through_the_bounded_rows_matches_the_siegel_rows(alg):
     # a transported f is evaluated at the bounded rows z; a function with the
     # same evaluator but no bounded function goes through f.batch on the
@@ -550,6 +552,21 @@ def test_siegel_estimate_through_the_bounded_rows_matches_the_siegel_rows(alg):
                                           realization="siegel")
     assert norm == pytest.approx(norm_w, rel=1e-10)
     assert se == pytest.approx(se_w, rel=1e-8)
+
+
+@pytest.mark.parametrize("alg", SIEGEL_FAMILIES[-3:], ids=str)
+def test_siegel_estimate_of_a_transported_polynomial_off_the_tubes(alg):
+    # on the Siegel domains of type II the estimate of a transported random
+    # degree-2 polynomial at lambda = g + 1/2 lies within 5 of its own
+    # standard errors of 2^(2 dim_m) c_lambda ||f||^2_lambda
+    lam = alg.genus + 0.5
+    p = rand_poly(alg.zdim, 2, np.random.default_rng(46))
+    f = spaces.transport_to_siegel(spaces.poly_function(alg, p), lam)
+    norm, se = spaces.bergman_norm_mc(f, lam, alg, 200000, np.random.default_rng(1),
+                                      realization="siegel")
+    want = (2.0 ** (2 * alg.dim_m) * domains.bergman_constant(alg, lam)
+            * spaces.h_lambda_norm_sq(p, lam, alg, 2)[0])
+    assert abs(norm ** 2 - want) <= 5 * 2 * norm * se
 
 
 SPIN_CFG = domains.SiegelSamplerConfig(cauchy_x=True, sigma_x=0.5,
@@ -628,10 +645,32 @@ def test_monte_carlo_norms_need_a_sample(n):
 
 def test_hardy_disc_monomials():
     rng = np.random.default_rng(8)
-    for k in (1, 5, 17):
+    for k in (1, 5, 17, 40):
         f = spaces.poly_function(DISC, Z ** k)
         val = spaces.hardy_norm_mc(f, DISC, 200000, rng)
-        assert val == pytest.approx(1.0, rel=0.01)
+        assert abs(val - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("alg", [
+    DISC, eja.herm_complex(1, 3), SR2, eja.sym_real(3), eja.herm_complex(2),
+    eja.herm_complex(2, 3), eja.herm_quaternion(2), eja.spin_factor(4),
+    eja.spin_factor(5)], ids=str)
+def test_hardy_norm_is_the_series_norm_at_zdim_over_rank(alg):
+    # H^2 = H_lambda at lambda = zdim / rank (Faraut-Koranyi): ||1|| = 1,
+    # and the Shilov-boundary mean of |f|^2 lies within 5 standard errors of
+    # the series norm at degrees 1 to 3; a boundary off K.e or a partial K
+    # moves it
+    one = spaces.poly_function(alg, SparsePolynomial.constant(alg.zdim, 1.0))
+    assert abs(spaces.hardy_norm_mc(one, alg, 1000, np.random.default_rng(0)) - 1.0) <= 1e-12
+    lam = alg.zdim / alg.rank
+    rng = np.random.default_rng(47)
+    n = 40000
+    for deg in (1, 2, 3):
+        p = rand_poly(alg.zdim, deg, rng)
+        est = spaces.hardy_norm_mc(spaces.poly_function(alg, p), alg, n, rng) ** 2
+        x = np.abs(p.eval(domains._polar_rows(alg, np.ones((n, alg.rank)), rng))) ** 2
+        want = spaces.h_lambda_norm_sq(p, lam, alg, deg)[0]
+        assert abs(est - want) <= 5 * x.std() / math.sqrt(n) + 1e-12 * want, deg
 
 
 def test_hardy_zero_function():
