@@ -15,7 +15,9 @@ with the matrices of k (its monomials are products of rows of the matrix),
 the powers and products are taken as dense stacks, and the rows are
 Fischer-weighted, so Euclidean and Fischer geometry agree. The top dim P_s
 rows of one SVD are the basis, and the numerical rank must equal dim P_s.
-Pairings against P_s are then one matrix-vector product.
+The bases of all signatures of one degree are then stacked in one array, so
+the pairings against every P_s of that degree are one matrix-vector product
+and a sum over each signature's rows.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import cones, domains, eja, wallach
 from .eja import AlgebraDescriptor
-from .poly import (SparsePolynomial, det_poly, monomial_factorial,
-                   monomial_table, mul_stacks, weighted_parts)
+from .poly import (SparsePolynomial, det_poly, graded_table, graded_vector,
+                   monomial_factorial, monomial_table, mul_stacks)
 from .poly import homogeneous_monomials  # noqa: F401  (part of this module's API)
 
 RANK_TOL = 1e-8
@@ -174,12 +176,14 @@ class PsProjector:
 
     A basis is kept as the orthonormal rows of orbit_span: Fischer-weighted
     coefficients over the monomial table of degree |s|. spans[s] records how
-    the basis of s was built.
+    the basis of s was built. stack(d) concatenates the bases of degree d,
+    after which each of them is a view into the stack.
     """
 
     def __init__(self, alg: AlgebraDescriptor):
         self.alg = alg
         self._bases: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._stacks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.spans: Dict[Tuple[int, ...], SpanRecord] = {}
 
     def _rng_for(self, s: Tuple[int, ...]) -> np.random.Generator:
@@ -199,6 +203,19 @@ class PsProjector:
             self.spans[s] = SpanRecord(len(samples), *gap)
         return self._bases[s]
 
+    def stack(self, d: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The rows of every P_s with |s| = d, in wallach.graded_signatures
+        order, and the first row of each s."""
+        if d not in self._stacks:
+            sigs, offsets = wallach.graded_signatures(self.alg.rank, d)
+            sigs = [tuple(s) for s in sigs[offsets[d]:].tolist()]
+            rows = np.concatenate([self.basis(s) for s in sigs])
+            starts = np.cumsum([0] + [len(self._bases[s]) for s in sigs[:-1]])
+            for s, a in zip(sigs, starts):
+                self._bases[s] = rows[a:a + len(self._bases[s])]
+            self._stacks[d] = rows, starts
+        return self._stacks[d]
+
     def dim(self, s: Sequence[int]) -> int:
         return dim_Ps(s, self.alg)
 
@@ -211,8 +228,8 @@ class PsProjector:
             # P_(k) is the full homogeneous component of degree k
             return f.homogeneous_part(s[0])
         d = sum(s)
-        v = weighted_parts(f, d).get(d)
-        if v is None:
+        v = graded_vector(f, d)[graded_table(nv, d)[0][d]:]
+        if not v.any():
             return SparsePolynomial.zero(nv)
         rows = self.basis(s)
         return monomial_table(nv, d).polynomial((rows.conj() @ v) @ rows)

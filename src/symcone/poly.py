@@ -10,8 +10,10 @@ Bulk work goes through arrays instead: monomial_table(nvars, degree) fixes
 the order of the monomials of one degree (homogeneous_monomials order) and
 their Fischer weights sqrt(alpha!), so a homogeneous polynomial is a vector
 and a batch of them a stack of rows. mul_stacks multiplies two stacks row by
-row, and weighted_parts turns a SparsePolynomial into one Fischer-weighted
-vector per degree, whose plain dot products are Fischer pairings.
+row. graded_table(nvars, top) lays the tables of degrees 0..top end to end,
+and graded_vector turns a SparsePolynomial into one Fischer-weighted vector
+over it, whose slice for degree d is the weighted vector of the degree-d
+part; plain dot products of these vectors are Fischer pairings.
 """
 
 from __future__ import annotations
@@ -342,21 +344,28 @@ def monomial_table(nvars: int, degree: int) -> MonomialTable:
     return MonomialTable(nvars, degree)
 
 
-def weighted_parts(p: SparsePolynomial, max_degree: int) -> Dict[int, np.ndarray]:
-    """Fischer-weighted vector of each nonzero homogeneous part of p up to
-    max_degree, keyed by degree, in one pass over the coefficients."""
-    terms: Dict[int, list] = {}
-    for a, c in p.coeffs.items():
-        d = sum(a)
-        if d <= max_degree:
-            terms.setdefault(d, []).append((a, c))
-    out = {}
-    for d, ts in terms.items():
-        tab = monomial_table(p.nvars, d)
-        v = np.zeros(len(tab.monos), dtype=complex)
-        v[[tab.index[a] for a, _ in ts]] = [c for _, c in ts]
-        out[d] = v * tab.weights
-    return out
+@cache
+def graded_table(nvars: int, top: int) -> Tuple[np.ndarray, Dict[Exponent, int], np.ndarray]:
+    """The monomials of degrees 0..top end to end, each degree in
+    monomial_table order: (offsets, index, weights), where degree d fills
+    [offsets[d], offsets[d + 1]), index maps an exponent to its position and
+    weights are the Fischer weights sqrt(alpha!)."""
+    tables = [monomial_table(nvars, d) for d in range(top + 1)]
+    offsets = np.cumsum([0] + [len(t.monos) for t in tables])
+    weights = np.concatenate([t.weights for t in tables])
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, {a: i for i, a in enumerate(a for t in tables for a in t.monos)}, weights
+
+
+def graded_vector(p: SparsePolynomial, top: int) -> np.ndarray:
+    """Fischer-weighted coefficients of p over graded_table(p.nvars, top), in
+    one pass over the coefficients; terms of degree above top are dropped."""
+    _, index, weights = graded_table(p.nvars, top)
+    n = len(weights)
+    v = np.zeros(n + 1, dtype=complex)  # slot n collects the dropped terms
+    pos = np.fromiter((index.get(a, n) for a in p.coeffs), np.intp, len(p.coeffs))
+    v[pos] = np.fromiter(p.coeffs.values(), complex, len(p.coeffs))
+    return v[:n] * weights
 
 
 @cache

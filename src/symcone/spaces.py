@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import cones, domains, eja, fischer, wallach
 from .domains import AffineMap, MobiusMap, SiegelPoint
 from .eja import AlgebraDescriptor
-from .poly import SparsePolynomial, weighted_parts
+from .poly import SparsePolynomial, graded_table, graded_vector
 
 PSD_HARD = 1e-8   # below -PSD_HARD * ||G||: a genuine negative witness
 PSD_SOFT = 1e-10  # above -PSD_SOFT * ||G||: numerically positive
@@ -243,25 +243,37 @@ def _taylor_of(f) -> SparsePolynomial:
     raise ValueError("need Taylor data (a polynomial or a Taylor-backed function)")
 
 
-def _signature_pairing(proj: fischer.PsProjector, s: Tuple[int, ...],
-                       vf: Dict[int, np.ndarray], vg: Dict[int, np.ndarray]) -> complex:
-    """Fischer pairing of the P_s projections of f and g.
-
-    vf and vg are the weighted parts of f and g (poly.weighted_parts); the
-    pairing is one product with the cached orthonormal rows of P_s, so no
-    projected polynomial is materialized.
+def _series(f, g, lam: float, alg: AlgebraDescriptor, trunc_degree: int,
+            cache: Optional[fischer.PsProjector], q: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Degrees and terms <P_s f, P_s g>_F / w_s of the signature series up
+    to trunc_degree, over the s with q_order(s, lam) = q; w_s is (lam)_s if q
+    is 0, else the residue product. A degree's pairings are one product of
+    its stacked P_s rows with the graded vectors and a sum over each s's rows;
+    on rank 1, where P_(k) is the whole degree-k part, a sum over the degree.
     """
-    d = sum(s)
-    a, b = vf.get(d), vg.get(d)
-    if a is None or b is None:
-        return 0.0
-    if proj.alg.rank == 1:
-        # P_(k) is the full homogeneous component of degree k
-        return complex(a @ b.conj())
-    rows = proj.basis(s).conj()
-    cf = rows @ a
-    cg = cf if b is a else rows @ b
-    return complex(cf @ cg.conj())
+    fp, gp = _taylor_of(f), _taylor_of(g)
+    top = min(trunc_degree, fp.degree(), gp.degree())
+    if top < 0:
+        return np.zeros(0, dtype=int), np.zeros(0)
+    sigs, first = wallach.graded_signatures(alg.rank, top)
+    offsets = graded_table(fp.nvars, top)[0]
+    vf = graded_vector(fp, top)
+    vg = vf if gp is fp else graded_vector(gp, top)
+    if alg.rank == 1:
+        pairs = np.add.reduceat(vf * vg.conj(), offsets[:-1])
+    else:
+        proj = cache if cache is not None else fischer.projector(alg)
+        pairs = np.zeros(len(sigs), dtype=complex)
+        for d in range(top + 1):
+            a, b = vf[offsets[d]:offsets[d + 1]], vg[offsets[d]:offsets[d + 1]]
+            if a.any() and b.any():  # build a degree's stack only where it is used
+                rows, starts = proj.stack(d)
+                xf = rows @ a.conj()
+                xg = xf if gp is fp else rows @ b.conj()
+                pairs[first[d]:first[d + 1]] = np.add.reduceat(xg * xf.conj(), starts)
+    poch, order, residue = wallach.signature_tables(lam, sigs, alg)
+    keep = order == q
+    return sigs.sum(axis=1)[keep], pairs[keep] / (poch if q == 0 else residue)[keep]
 
 
 def h_lambda_inner(f, g, lam: float, alg: AlgebraDescriptor,
@@ -276,26 +288,8 @@ def h_lambda_inner(f, g, lam: float, alg: AlgebraDescriptor,
     if not wallach.wallach_contains(lam, alg):
         raise ValueError("parameter outside the positive set; "
                          "use h_tilde_seminorm on the discrete lattice")
-    fp, gp = _taylor_of(f), _taylor_of(g)
-    proj = cache if cache is not None else fischer.projector(alg)
-    if fp.degree() < 0 or gp.degree() < 0:
-        return 0.0 + 0.0j, 0.0
-    top = min(trunc_degree, fp.degree(), gp.degree())
-    vf = weighted_parts(fp, top)
-    vg = vf if gp is fp else weighted_parts(gp, top)
-    total = 0.0 + 0.0j
-    shell = 0.0
-    for s in wallach.enumerate_signatures(alg.rank, top):
-        if wallach.q_order(s, lam, alg) != 0:
-            continue
-        pair = _signature_pairing(proj, s, vf, vg)
-        if pair == 0.0:
-            continue
-        term = pair / wallach.pochhammer(lam, s, alg)
-        total += term
-        if sum(s) == trunc_degree:
-            shell += abs(term)
-    return complex(total), float(shell)
+    degrees, terms = _series(f, g, lam, alg, trunc_degree, cache, 0)
+    return complex(terms.sum()), float(np.abs(terms[degrees == trunc_degree]).sum())
 
 
 def h_lambda_norm_sq(f, lam: float, alg: AlgebraDescriptor, trunc_degree: int,
@@ -317,22 +311,8 @@ def h_tilde_seminorm(f, lam: float, alg: AlgebraDescriptor, trunc_degree: int,
     """Residue-weighted seminorm at a degenerate lattice parameter."""
     if not _on_tilde_lattice(lam, alg):
         raise ValueError("parameter is not on the degenerate lattice")
-    fp = _taylor_of(f)
-    proj = cache if cache is not None else fischer.projector(alg)
-    qm = wallach.q_max(lam, alg)
-    if fp.degree() < 0:
-        return 0.0
-    top = min(trunc_degree, fp.degree())
-    vf = weighted_parts(fp, top)
-    total = 0.0
-    for s in wallach.enumerate_signatures(alg.rank, top):
-        if wallach.q_order(s, lam, alg) != qm:
-            continue
-        pair = _signature_pairing(proj, s, vf, vf)
-        if pair == 0.0:
-            continue
-        total += pair.real / wallach.residue_pochhammer(lam, s, alg)
-    return float(np.sqrt(max(total, 0.0)))
+    _, terms = _series(f, f, lam, alg, trunc_degree, cache, wallach.q_max(lam, alg))
+    return float(np.sqrt(max(terms.real.sum(), 0.0)))
 
 
 def dilation_monotonicity(f, lam: float, alg: AlgebraDescriptor,
@@ -342,20 +322,8 @@ def dilation_monotonicity(f, lam: float, alg: AlgebraDescriptor,
     """Squared series norms of the dilates f(R .); they must grow in R."""
     if not wallach.wallach_contains(lam, alg):
         raise ValueError("parameter outside the positive set")
-    fp = _taylor_of(f)
-    proj = cache if cache is not None else fischer.projector(alg)
-    terms: List[Tuple[int, float]] = []
-    top = min(trunc_degree, max(fp.degree(), 0))
-    vf = weighted_parts(fp, top)
-    for s in wallach.enumerate_signatures(alg.rank, top):
-        if wallach.q_order(s, lam, alg) != 0:
-            continue
-        pair = _signature_pairing(proj, s, vf, vf)
-        if pair == 0.0:
-            continue
-        terms.append((sum(s),
-                      pair.real / float(wallach.pochhammer(lam, s, alg))))
-    values = [sum(c * R ** (2 * d) for d, c in terms) for R in R_grid]
+    degrees, terms = _series(f, f, lam, alg, trunc_degree, cache, 0)
+    values = [float(terms.real @ (R ** (2.0 * degrees))) for R in R_grid]
     monotone = all(values[i + 1] >= values[i] - 1e-12 * max(abs(values[i]), 1.0)
                    for i in range(len(values) - 1))
     return monotone, values

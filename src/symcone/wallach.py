@@ -10,13 +10,18 @@ q_order counts the vanishing factors: the number of j for which
 a(j-1)/2 - lam lands in {0, 1, ..., s_j - 1}. Offset 0 is included, so the
 count is exactly the order of the zero of lam' -> (lam')_s at lam.
 Lattice membership of a float is decided with a 1e-9 absolute tolerance.
+signature_tables gives all three for a whole array of signatures at once;
+the scalar functions are its reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import isclose
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 LATTICE_TOL = 1e-9
 
@@ -118,6 +123,37 @@ def residue_pochhammer(lam: float, s: Sequence[int], c) -> float:
                 continue
             out *= abs(lam - a * (j - 1) / 2.0 + i)
     return out
+
+
+def signature_tables(lam, sigs: np.ndarray, c) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam)_s, q_order(s, lam) and the residue product (as residue_pochhammer,
+    for any s) of every row s of the (n, rank) integer array sigs.
+
+    Row j of the table P of running products, P[j, k] = prod_(i<k)
+    (lam - a j/2 + i), gives (lam)_s = prod_j P[j, s_j]; the residue table is
+    the same over |factors| with the vanishing one, i = a j/2 - lam, set to 1.
+    """
+    sigs = np.asarray(sigs)
+    top, a, rows = int(sigs.max(initial=0)), c.peirce_a, np.arange(c.rank)
+    factors = np.array([lam - a * j / 2.0 for j in range(c.rank)])[:, None] + np.arange(top)
+    # the index of each row's vanishing factor; top lies below no s_j
+    k = np.array([top if v is None or v < 0 else v
+                  for v in (_as_integer(a * j / 2.0 - lam) for j in range(c.rank))])
+    nonzero = np.where(np.arange(top) == k[:, None], 1.0, np.abs(factors))
+    poch, residue = (np.cumprod(np.hstack([np.ones((c.rank, 1)), f]), axis=1)[rows, sigs]
+                     .prod(axis=1) for f in (factors, nonzero))
+    return poch, (sigs > k).sum(axis=1), residue
+
+
+@cache
+def graded_signatures(rank: int, top: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The signatures of degree <= top as an (n, rank) array, degree by degree
+    and lexicographic within a degree, and the row where each degree starts
+    (top + 2 offsets, the last one n)."""
+    sigs = np.array(sorted(enumerate_signatures(rank, top), key=sum), dtype=np.intp)
+    offsets = np.searchsorted(sigs.sum(axis=1), np.arange(top + 2))
+    sigs.flags.writeable = offsets.flags.writeable = False
+    return sigs, offsets
 
 
 def enumerate_signatures(r: int, max_total_degree: int) -> List[Signature]:

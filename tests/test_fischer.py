@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symcone import cones, domains, eja, fischer, wallach
-from symcone.poly import SparsePolynomial, monomial_table, weighted_parts
+from symcone.poly import SparsePolynomial, graded_table, graded_vector, monomial_table
 
 RNG = np.random.default_rng(20240815)
 
@@ -125,7 +125,8 @@ def test_identity_is_valid_sample():
         g = fischer.delta_power_poly(alg, s)
         rows, _ = fischer.orbit_span(fischer.signature_factors(alg, s),
                                      np.eye(alg.zdim, dtype=complex)[None], 1)
-        want = weighted_parts(g, sum(s))[sum(s)]
+        d = sum(s)
+        want = graded_vector(g, d)[graded_table(alg.zdim, d)[0][d]:]
         want = want / np.linalg.norm(want)
         assert abs(abs(np.vdot(rows[0], want)) - 1.0) < 1e-12, alg
 

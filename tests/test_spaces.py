@@ -354,6 +354,107 @@ def test_h_lambda_inner_matches_basis_polynomial_formula(alg, lam, top):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _reference_series(f, g, lam, alg, trunc, q):
+    """The per-signature loop the degree-by-degree series replaced: for each
+    signature of degree <= top with q_order(s, lam) == q, the Fischer pairing
+    of the projections over the stored rows of P_s, divided by (lam)_s (q = 0)
+    or the residue product. Returns (degree, term) pairs in lex order."""
+    proj = fischer.projector(alg)
+
+    def parts(p, top):
+        out = {}
+        for a, c in p.coeffs.items():
+            if sum(a) <= top:
+                tab = monomial_table(p.nvars, sum(a))
+                v = out.setdefault(sum(a), np.zeros(len(tab.monos), dtype=complex))
+                v[tab.index[a]] = c
+        return {d: v * monomial_table(f.nvars, d).weights for d, v in out.items()}
+
+    if f.degree() < 0 or g.degree() < 0:
+        return []
+    top = min(trunc, f.degree(), g.degree())
+    vf, vg = parts(f, top), parts(g, top)
+    terms = []
+    for s in wallach.enumerate_signatures(alg.rank, top):
+        if wallach.q_order(s, lam, alg) != q:
+            continue
+        a, b = vf.get(sum(s)), vg.get(sum(s))
+        if a is None or b is None:
+            continue
+        if alg.rank == 1:
+            pair = complex(a @ b.conj())
+        else:
+            rows = proj.basis(s).conj()
+            pair = complex((rows @ a) @ (rows @ b).conj())
+        if q == 0:
+            terms.append((sum(s), pair / wallach.pochhammer(lam, s, alg)))
+        else:
+            terms.append((sum(s), pair / wallach.residue_pochhammer(lam, s, alg)))
+    return terms
+
+
+SERIES_CASES = [  # algebra, top degree, generic lambda, lambdas with q_order > 0
+    (DISC, 12, 1.7, ()), (eja.herm_complex(1, 3), 5, 2.6, ()), (SR2, 6, 1.3, (0.5,)),
+    (eja.sym_real(3), 4, 2.2, ()), (eja.herm_complex(2, 2), 5, 2.4, (1.0,)),
+    (eja.herm_quaternion(2), 4, 4.5, ()), (eja.spin_factor(4), 5, 2.3, ()),
+]
+
+
+@pytest.mark.parametrize("alg,top,generic,lattice", SERIES_CASES, ids=str)
+def test_series_matches_per_signature_reference(alg, top, generic, lattice):
+    rng = np.random.default_rng(2029)
+    f, g = rand_poly(alg.zdim, top, rng), rand_poly(alg.zdim, top, rng)
+    gap = SparsePolynomial(alg.zdim, {a: c for a, c in g.coeffs.items() if sum(a) != 2})
+    grid = (0.3, 0.7, 0.95)
+    for lam in (generic,) + lattice:
+        for u, v, trunc in ((f, g, top), (f, f, top), (f, gap, top - 1), (gap, f, top)):
+            want = _reference_series(u, v, lam, alg, trunc, 0)
+            value = sum(t for _, t in want)
+            shell = sum(abs(t) for d, t in want if d == trunc)
+            got, got_shell = spaces.h_lambda_inner(u, v, lam, alg, trunc)
+            assert abs(got - value) <= 1e-13 * abs(value), (lam, trunc)
+            assert abs(got_shell - shell) <= 1e-12 * abs(value), (lam, trunc)
+        terms = _reference_series(f, f, lam, alg, top, 0)
+        _, values = spaces.dilation_monotonicity(f, lam, alg, grid, top)
+        for R, got in zip(grid, values):
+            want = sum(t.real * R ** (2 * d) for d, t in terms)
+            assert abs(got - want) <= 1e-13 * abs(want), (lam, R)
+    base = alg.dim_m / alg.rank - 1.0
+    for lam in (base - k for k in range(int(base) + 2)):
+        if not spaces._on_tilde_lattice(lam, alg):
+            continue
+        q = wallach.q_max(lam, alg)
+        for u in (f, gap):
+            want = math.sqrt(max(sum(t.real for _, t in _reference_series(u, u, lam, alg, top, q)), 0))
+            got = spaces.h_tilde_seminorm(u, lam, alg, top)
+            assert abs(got - want) <= 1e-13 * want, lam
+
+
+def test_pairing_reads_stacked_bases_and_builds_none(monkeypatch):
+    # bases warmed as the series_norm benchmark's set-up warms them: a
+    # pairing builds no basis, and afterwards every basis of a stacked degree
+    # is a view into its stack (no second copy)
+    alg, top = eja.herm_complex(2, 2), 4
+    proj = fischer.PsProjector(alg)
+    for s in wallach.enumerate_signatures(alg.rank, top):
+        proj.basis(s)
+    calls = []
+    monkeypatch.setattr(fischer, "orbit_span", lambda *a: calls.append(a))
+    rng = np.random.default_rng(5)
+    f, g = rand_poly(alg.zdim, top, rng), rand_poly(alg.zdim, top, rng)
+    f = SparsePolynomial(alg.zdim, {a: c for a, c in f.coeffs.items() if sum(a) != 3})
+    spaces.h_lambda_inner(f, g, 3.0, alg, top, cache=proj)
+    assert calls == []
+    # a degree is stacked only where both sides have a part of it
+    both = [d for d in range(top + 1)
+            if all(any(sum(a) == d for a in p.coeffs) for p in (f, g))]
+    assert 3 not in both and sorted(proj._stacks) == both
+    for d, (rows, _) in proj._stacks.items():
+        for s in wallach.enumerate_signatures(alg.rank, d):
+            if sum(s) == d:
+                assert np.shares_memory(proj.basis(s), rows), s
+
+
 def test_dilation_monotonicity_single_term():
     grid = (0.2, 0.5, 0.8, 0.95)
     flag, vals = spaces.dilation_monotonicity(Z, 1.0, DISC, grid, 10)

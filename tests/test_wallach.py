@@ -206,3 +206,24 @@ def test_enumerate_signatures_counts_and_order():
         for s in wallach.enumerate_signatures(r, 6):
             assert all(s[i] >= s[i + 1] for i in range(r - 1))
             assert sum(s) <= 6
+
+
+@pytest.mark.parametrize("alg", [DISC, SR2, HC3, HQ2, eja.sym_real(3)], ids=str)
+def test_signature_tables_match_scalar_functions(alg):
+    # every signature with |s| <= 12, at lattice points with zero factors,
+    # on the ray, between lattice points, and for an exact Fraction
+    sigs, offsets = wallach.graded_signatures(alg.rank, 12)
+    assert sorted(map(tuple, sigs.tolist())) == wallach.enumerate_signatures(alg.rank, 12)
+    assert np.array_equal(offsets, np.searchsorted(sigs.sum(axis=1), np.arange(14)))
+    a = alg.peirce_a
+    for lam in (0, 0.0, a / 2, 1, 1.0, -1.0, 0.3, 2.7, a * (alg.rank - 1) / 2 + 0.5,
+                Fraction(3, 2), Fraction(a, 2)):
+        poch, q, residue = wallach.signature_tables(lam, sigs, alg)
+        qm = wallach.q_max(lam, alg)
+        for s, p, k, res in zip(map(tuple, sigs.tolist()), poch, q, residue):
+            want = wallach.pochhammer(lam, s, alg)
+            assert abs(p - want) <= 1e-14 * abs(want), (lam, s)
+            assert k == wallach.q_order(s, lam, alg), (lam, s)
+            if k == qm:
+                want = wallach.residue_pochhammer(lam, s, alg)
+                assert abs(res - want) <= 1e-14 * want, (lam, s)
