@@ -429,12 +429,11 @@ def suite_kernels(cfg, rng):
         for _ in range(200):
             d = alg.dim_m + alg.siegel_n
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            p = domains.bounded_from_vector(alg, v)
             p = domains.bounded_from_vector(
-                alg, 0.6 * v / max(domains.spectral_norm(p), 1e-12))
+                alg, 0.6 * v / max(domains.spectral_norm(v, alg), 1e-12))
             back = domains.inverse_cayley(domains.cayley(p))
             worst = max(worst, float(np.max(np.abs(
-                spaces.point_vector(back) - spaces.point_vector(p)))))
+                back.as_vector() - p.as_vector()))))
         out.append(check(f"kernels/cayley-roundtrip[{alg.family}:{alg.rank}]",
                          worst, 1e-10, {"points": 200}, "chart sup"))
     for alg, tag in ((eja.herm_complex(1, 1), "disc"),

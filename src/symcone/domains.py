@@ -5,7 +5,9 @@ and samplers.
 Points of the bounded domain pair a complex algebra element z1 with a
 rectangular block zeta (only herm_complex(p, q>p) has one). Siegel points
 pair zeta with z in the complexified algebra; membership means
-Im z - Phi(zeta, zeta) lies in the open cone.
+Im z - Phi(zeta, zeta) lies in the open cone. A point is its z-chart row
+(the z-chart of z1 or z, then zeta): it stores the row and reads z1, z and
+zeta from it, and bounded_from_vector and siegel_from_vector wrap a row.
 
 Kernels carry no normalizing constants: the Siegel kernel is the plain
 Delta^(-lambda) of the polarized argument, and the bounded kernel is
@@ -15,25 +17,24 @@ log_h_pairs sums log(1 - mu) over the eigenvalues mu of a pencil in the unit
 disc (Z W*, or a 2 x 2 closed form on spin), the continuous branch, and
 siegel_log_delta_pairs shares inverse_cayley_rows' right-tube branch rule.
 
-Points travel as stacks of chart vectors (as_vector per row):
+Points travel as stacks of chart rows (as_vector per row):
 sample_weighted_bounded draws exactly from h(z, z)^(lambda - g) dm over its
 mass bergman_constant, in polar coordinates (at t = 1, the Shilov boundary
 K.e); sphere_rows draws directions uniform on a sphere; cayley_rows carries
 such rows to the Siegel side with log |Delta(e - z)|, which gives the real
-Jacobian of the map,
-siegel_log_delta_rows gives log Delta of their defect, and
-inverse_cayley_rows maps Siegel rows back on every family, the half-space
-block included. cayley and inverse_cayley are their one-row calls, and
-affine_chart writes an affine map as (A, b) on chart rows. sample_siegel,
-the one Siegel sampler, is the Cayley image of the uniform draws on D. One
-routine, _frames, draws the Haar unitary frames behind the polar draws,
-the stacks of K chart matrices of haar_K and the unitary part of
-mobius_sample.
-bounded_from_vector and siegel_from_vector turn one row into a point.
-spectral_norm and in_bounded_domain take a point, a row or a stack of rows,
-with the same bits for a row in each form, so the Gram search builds no
-point: sample_bounded returns the row its box rejection accepts, and a
-cluster's rows are tested in one call.
+Jacobian of the map, siegel_log_delta_rows gives log Delta of their defect,
+and inverse_cayley_rows maps Siegel rows back on every family, the
+half-space block included. cayley and inverse_cayley are their one-row
+calls, and affine_chart writes an affine map as (A, b) on chart rows.
+sample_siegel, the one Siegel sampler, is the Cayley image of the uniform
+draws on D. One routine, _frames, draws the Haar unitary frames behind the
+polar draws, the stacks of K chart matrices of haar_K and the unitary part
+of mobius_sample. _matrix_rows, the one map from rows to matrix pictures,
+takes its products row by row, so a row has the same bits alone, in any
+stack and as its point. spectral_norm and in_bounded_domain take a point, a
+row or a stack of rows, so the Gram search builds no point: sample_bounded
+returns the row its box rejection accepts, and a cluster's rows are tested
+in one call.
 """
 
 from __future__ import annotations
@@ -70,65 +71,77 @@ def _halfspace_block(alg: AlgebraDescriptor, zeta) -> Optional[np.ndarray]:
     return zeta
 
 
-@dataclass
-class BoundedPoint:
-    alg: AlgebraDescriptor
-    z1: Element
-    zeta: Optional[np.ndarray] = None
+class _RowPoint:
+    """A point stored as its z-chart row: the z-chart of its Z_1 element,
+    then the (p, q - p) half-space block of herm_complex(p, q > p). The row
+    is read-only, as_vector returns it, and the element and the block are
+    read from it."""
 
-    def __post_init__(self):
-        if self.z1.alg != self.alg:
+    __slots__ = ("alg", "row")
+
+    def __init__(self, alg: AlgebraDescriptor, x: Element, zeta=None):
+        if x.alg != alg:
             raise ValueError("element does not belong to the stated algebra")
-        self.zeta = _halfspace_block(self.alg, self.zeta)
+        zeta = _halfspace_block(alg, zeta)
+        v = eja.to_zchart(x.as_complex())
+        _keep(self, alg, v if zeta is None else np.concatenate([v, zeta.ravel()]))
+
+    def _element(self) -> Element:
+        m = self.alg.dim_m
+        return Element(self.alg, self.row[:m] @ eja._chart(self.alg)["from_z"])
+
+    @property
+    def zeta(self) -> Optional[np.ndarray]:
+        """The half-space block, None on the families without one."""
+        alg = self.alg
+        return self.row[alg.dim_m:].reshape(alg.size, -1) if alg.siegel_n else None
+
+    def as_vector(self) -> np.ndarray:
+        return self.row
+
+
+def _keep(p: _RowPoint, alg: AlgebraDescriptor, v: np.ndarray) -> _RowPoint:
+    v.flags.writeable = False
+    p.alg, p.row = alg, v
+    return p
+
+
+class BoundedPoint(_RowPoint):
+    """(z1, zeta) in the ambient space of the bounded domain."""
+
+    __slots__ = ()
+    z1 = property(_RowPoint._element)
 
     def full_matrix(self) -> np.ndarray:
         """Embedded picture; for herm_complex the full p x q matrix."""
-        return eja.full_matrix(self.z1, self.zeta)
-
-    def as_vector(self) -> np.ndarray:
-        """Coordinates as one complex vector (rank-1 domains: the ball)."""
-        return _join_row(self.z1, self.zeta)
+        return _matrix_rows(self.alg, self.row)
 
 
-def _join_row(z: Element, zeta: Optional[np.ndarray]) -> np.ndarray:
-    """z-chart of z, then the half-space block: a point as one chart row."""
-    v = eja.to_zchart(z.as_complex())
-    return v if zeta is None else np.concatenate([v, zeta.ravel()])
+class SiegelPoint(_RowPoint):
+    """(zeta, z) with z in the complexified algebra."""
+
+    __slots__ = ()
+    z = property(_RowPoint._element)
+
+    def __init__(self, alg: AlgebraDescriptor, zeta, z: Element):
+        super().__init__(alg, z, zeta)
 
 
-def _split_row(alg: AlgebraDescriptor, v) -> tuple:
-    """(z-chart part, half-space block or None) of one chart row."""
-    v = np.asarray(v, dtype=complex)
-    return v[: alg.dim_m], (v[alg.dim_m:].reshape(alg.size, -1)
-                            if alg.siegel_n else None)
+def _of_row(cls, alg: AlgebraDescriptor, v) -> _RowPoint:
+    """A point of class cls on a copy of the chart row v; no element is built."""
+    v = np.array(v, dtype=complex)
+    if v.shape != (alg.zdim,) or not np.isfinite(v).all():
+        raise ValueError(f"expected a finite chart row of length {alg.zdim}")
+    return _keep(object.__new__(cls), alg, v)
 
 
 def bounded_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> BoundedPoint:
-    """The point of one row, its element complex like SiegelPoint.z."""
-    z, zeta = _split_row(alg, v)
-    return BoundedPoint(alg, Element(alg, z @ eja._chart(alg)["from_z"]), zeta)
-
-
-@dataclass
-class SiegelPoint:
-    alg: AlgebraDescriptor
-    zeta: Optional[np.ndarray]
-    z: Element
-
-    def __post_init__(self):
-        if self.z.alg != self.alg:
-            raise ValueError("element does not belong to the stated algebra")
-        self.z = self.z.as_complex()
-        self.zeta = _halfspace_block(self.alg, self.zeta)
-
-    def as_vector(self) -> np.ndarray:
-        return _join_row(self.z, self.zeta)
+    return _of_row(BoundedPoint, alg, v)
 
 
 def siegel_from_vector(alg: AlgebraDescriptor, v: np.ndarray) -> SiegelPoint:
     """Inverse of SiegelPoint.as_vector."""
-    z, zeta = _split_row(alg, v)
-    return SiegelPoint(alg, zeta, Element(alg, z @ eja._chart(alg)["from_z"]))
+    return _of_row(SiegelPoint, alg, v)
 
 
 def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
@@ -140,40 +153,22 @@ def siegel_base_point(alg: AlgebraDescriptor) -> SiegelPoint:
 # ---------------------------------------------------------------------------
 
 def spectral_norm(p, alg: Optional[AlgebraDescriptor] = None):
-    """Spectral norm of a BoundedPoint or of a chart row of alg (one
-    spaces.point_vector), or the (n,) norms of an (n, d) stack of rows.
-
-    One routine for all three, every product taken row by row, so a row's
-    norm has the same bits alone, in a stack or as its point (rows reach the
-    algebra coordinates as v[:dim_m] @ from_z, as bounded_from_vector does).
-    """
+    """Spectral norm of a BoundedPoint or of a chart row of alg, or the (n,)
+    norms of an (n, d) stack of rows, with the same bits for a row alone, in
+    a stack or as its point: the top singular value of _matrix_rows, or on
+    spin the closed form on the z-chart row u, of Jordan determinant
+    u_0 u_1 - sum_(k >= 2) u_k^2 / 2."""
     if isinstance(p, BoundedPoint):
-        alg, X, zeta = p.alg, p.z1.coords, p.zeta
-    else:
-        V = np.asarray(p, dtype=complex)
-        X = _row_products(V[..., : alg.dim_m], eja._chart(alg)["from_z"])
-        zeta = (V[..., alg.dim_m:].reshape(V.shape[:-1] + (alg.size, -1))
-                if alg.siegel_n else None)
-    chart = eja._chart(alg)
+        alg, p = p.alg, p.row
+    V = np.asarray(p, dtype=complex)
     if alg.family == "spin":
-        u = _row_products(X, chart["to_z"])
-        nsq = (np.vdot(u, u) if u.ndim == 1 else
-               (u.conj()[:, None] @ u[:, :, None])[:, 0, 0]).real
-        d2 = np.abs(np.multiply(u[..., 0], u[..., 1])
-                    - 0.5 * np.add.reduce(u[..., 2:] ** 2, axis=-1))
+        nsq = (V.conj()[..., None, :] @ V[..., None])[..., 0, 0].real
+        d2 = np.abs(np.multiply(V[..., 0], V[..., 1])
+                    - 0.5 * np.add.reduce(V[..., 2:] ** 2, axis=-1))
         out = np.sqrt((nsq + np.sqrt(np.maximum(nsq * nsq - 4.0 * d2 * d2, 0.0))) / 2.0)
     else:
-        n = chart["n"]
-        M = _row_products(X, chart["embed"]).reshape(X.shape[:-1] + (n, n))
-        if zeta is not None:
-            M = np.concatenate([M, zeta], axis=-1)
-        out = np.linalg.svd(M, compute_uv=False)[..., 0]
+        out = np.linalg.svd(_matrix_rows(alg, V), compute_uv=False)[..., 0]
     return out if np.ndim(out) else float(out)
-
-
-def _row_products(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X @ M by one vector-matrix product per row, for a row or a stack."""
-    return X @ M if X.ndim == 1 else (X[:, None] @ M)[:, 0]
 
 
 def in_bounded_domain(p, tol: float = BOUNDARY_TOL,
@@ -232,13 +227,15 @@ def inverse_cayley(p: SiegelPoint) -> BoundedPoint:
 
 
 def _matrix_rows(alg: AlgebraDescriptor, V: np.ndarray) -> np.ndarray:
-    """Embedded matrices of a stack of z-chart rows of a matrix family: the
-    p x q (z1 | zeta) when the rows carry a half-space block."""
-    chart = eja._chart(alg)
-    M = (V[:, : alg.dim_m] @ chart["from_z"] @ chart["embed"]).reshape(
-        len(V), chart["n"], chart["n"])
-    if V.shape[1] > alg.dim_m:
-        M = np.dstack([M, V[:, alg.dim_m:].reshape(len(V), alg.size, -1)])
+    """Embedded matrices of a z-chart row or a stack of rows of a matrix
+    family: the p x q (z1 | zeta) when the rows carry a half-space block.
+    The products act row by row, so a row has the same bits alone and in
+    any stack."""
+    chart = eja._matrix_chart(alg)
+    m, n, lead = alg.dim_m, chart["n"], V.shape[:-1]
+    M = (V[..., None, :m] @ chart["from_z"] @ chart["embed"]).reshape(lead + (n, n))
+    if V.shape[-1] > m:
+        M = np.concatenate([M, V[..., m:].reshape(lead + (alg.size, -1))], axis=-1)
     return M
 
 
@@ -551,7 +548,7 @@ _BOX_SCALE = {"sym_real": np.sqrt(2.0), "herm_complex": 1.0,
 
 
 def sample_bounded(alg: AlgebraDescriptor, rng: np.random.Generator) -> np.ndarray:
-    """One uniform chart row of the bounded domain (spaces.point_vector of
+    """One uniform chart row of the bounded domain (the as_vector of
     its point) by box rejection: two uniform calls per proposal, each
     proposal's row tested by in_bounded_domain."""
     c = _BOX_SCALE[alg.family]
@@ -851,7 +848,7 @@ def sample_weighted_bounded(alg: AlgebraDescriptor, lam: float, n: int,
                             rng: np.random.Generator):
     """n exact draws from c_lambda^(-1) h(z, z)^(lambda - g) dm (z-chart
     Lebesgue measure, c_lambda = bergman_constant) as z-chart rows
-    (spaces.point_vector per row), and their (n, r) squared radii u.
+    (as_vector per row), and their (n, r) squared radii u.
 
     Polar coordinates z = k . sum_j t_j c_j: u = t^2 from _jacobi_ensemble,
     then k Haar in the full K (_polar_rows); h(z, z) = prod_j (1 - u_j).
@@ -893,7 +890,7 @@ def cayley_rows(alg: AlgebraDescriptor, V: np.ndarray):
 
 def sample_siegel(alg: AlgebraDescriptor, n: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """n Siegel z-chart rows (spaces.point_vector per row): the cayley_rows
+    """n Siegel z-chart rows (as_vector per row): the cayley_rows
     images of n uniform draws on the bounded domain, which are
     sample_weighted_bounded at lambda = g."""
     V, _ = sample_weighted_bounded(alg, alg.genus, n, rng)

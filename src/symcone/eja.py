@@ -479,27 +479,6 @@ def triple_product(x: Element, y: Element, z: Element) -> Element:
     return unembed_matrix(alg, (X @ Ys @ Z + Z @ Ys @ X) / 2.0)
 
 
-def full_matrix(x: Element, zeta: np.ndarray | None = None) -> np.ndarray:
-    """Concrete p x q picture (z1 | zeta) of a point of the full Z.
-
-    Only herm_complex carries a nonzero half-space block; for every other
-    family this is just embed_matrix.
-    """
-    alg = x.alg
-    M = embed_matrix(x)
-    if alg.siegel_n == 0:
-        if zeta is not None and np.asarray(zeta).size:
-            raise ValueError("tube-type algebra has no half-space block")
-        return M
-    p, q = alg.size, alg.cols
-    out = np.zeros((p, q), dtype=complex)
-    out[:, :p] = M
-    if zeta is not None:
-        zeta = np.asarray(zeta, dtype=complex).reshape(p, q - p)
-        out[:, p:] = zeta
-    return out
-
-
 def triple_product_full(alg: AlgebraDescriptor, X: np.ndarray, Y: np.ndarray,
                         Z: np.ndarray) -> np.ndarray:
     """{x, y, z} = (x y* z + z y* x)/2 on the concrete matrix picture of Z."""

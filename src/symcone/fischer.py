@@ -277,7 +277,7 @@ def _h_polynomial(alg: AlgebraDescriptor, w: "domains.BoundedPoint"):
     """(polynomial in z for fixed w, scale): kernel = poly^(-lambda/scale)."""
     nv = alg.dim_m + alg.siegel_n
     if alg.family == "spin":
-        wch = eja.to_zchart(w.z1.as_complex())
+        wch = eja.to_zchart(w.z1)
         h = SparsePolynomial.constant(nv, 1.0)
         for k in range(nv):
             if wch[k] != 0:
@@ -289,7 +289,7 @@ def _h_polynomial(alg: AlgebraDescriptor, w: "domains.BoundedPoint"):
     n, q = len(E), len(E[0])
     if alg.family == "herm_quaternion":
         # skew picture, h(z, w)^2 = det(I - S_z S_w^*)
-        Wn = eja.skew_embed(w.z1.as_complex()).conj().T
+        Wn = eja.skew_embed(w.z1).conj().T
     else:
         Wn = w.full_matrix().conj().T
     ent = [[SparsePolynomial.constant(nv, 1.0 if i == j else 0.0)

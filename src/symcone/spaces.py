@@ -6,9 +6,9 @@ intertwining identities on the disc and on tube domains.
 Conventions used throughout and echoed in reports:
   - kernel(lambda) means generic_norm^(-lambda) on the bounded side and the
     matching Siegel kernel on the unbounded side;
-  - points travel as stacks of chart rows (point_vector): Gram matrices,
-    Monte Carlo blocks and every function work on them, and a function
-    evaluates a single point as a stack of one row;
+  - points travel as stacks of chart rows, a point being its row
+    (as_vector): Gram matrices, Monte Carlo blocks and every function work
+    on them, and a function evaluates a single point as a stack of one row;
   - all integrals are Lebesgue on the unitary chart coordinates, with no
     1/pi style normalizations, except the bounded Hardy norm: the mean over
     the Shilov boundary K.e under its K-invariant probability, on every
@@ -39,16 +39,11 @@ MAX_DIFFUSE_POINTS = 6  # largest diffuse configuration or frameless cluster
 # holomorphic function wrapper
 # ---------------------------------------------------------------------------
 
-def point_vector(p) -> np.ndarray:
-    """Chart coordinates of a bounded or Siegel point as one vector."""
-    return p.as_vector()
-
-
 @dataclass
 class HolFunction:
     """Batch evaluator plus optional Taylor polynomial at the base point.
 
-    batch evaluates on an (n, d) stack of chart rows, one point_vector per
+    batch evaluates on an (n, d) stack of chart rows, one as_vector per
     row; a point is evaluated as a stack of one row.
     """
     alg: AlgebraDescriptor
@@ -59,7 +54,7 @@ class HolFunction:
     transported: Optional[Tuple["HolFunction", float]] = None
 
     def __call__(self, p) -> complex:
-        return complex(self.batch(point_vector(p)[None])[0])
+        return complex(self.batch(p.as_vector()[None])[0])
 
 
 def poly_function(alg: AlgebraDescriptor, poly: SparsePolynomial,
@@ -79,7 +74,7 @@ def zero_function(alg: AlgebraDescriptor, domain: str = "bounded") -> HolFunctio
 @dataclass
 class GramReport:
     lam: float
-    rows: np.ndarray  # (n, d) chart rows of the picture, point_vector per row
+    rows: np.ndarray  # (n, d) chart rows of the picture, as_vector per row
     min_eigenvalue: float
     matrix_norm: float
     verdict: str  # PSD | NotPSD | inconclusive
@@ -92,7 +87,7 @@ class GramReport:
 def gram_matrix(lam: float, alg: AlgebraDescriptor, V,
                 realization: str = "bounded") -> np.ndarray:
     """[K(v_i, v_j)] over an (n, d) stack of chart rows of alg in the given
-    picture (point_vector per point): one call of the picture's pair kernel."""
+    picture (as_vector per point): one call of the picture's pair kernel."""
     V = np.asarray(V, dtype=complex)
     # the diagonal is the n exact zeros of the distance matrix
     if np.count_nonzero(np.linalg.norm(V[:, None] - V, axis=-1) < 1e-12) > len(V):
@@ -537,7 +532,7 @@ def _kernel_sum(alg: AlgebraDescriptor, lam: float, C: np.ndarray,
 
 def siegel_kernel_atom(lam: float, center: SiegelPoint) -> HolFunction:
     """Kernel at the center, normalized so its weighted modulus there is 1."""
-    return _kernel_sum(center.alg, lam, point_vector(center)[None],
+    return _kernel_sum(center.alg, lam, center.as_vector()[None],
                        np.ones(1), siegel=True)
 
 
@@ -608,7 +603,7 @@ def atomic_synthesis(coeffs: Sequence[complex], lattice: Lattice,
     alg = pts[0].alg
     if lam <= 2.0 * (alg.dim_m / alg.rank - 1.0):
         raise ValueError("atoms need a parameter above 2(m/r - 1)")
-    C = np.array([point_vector(p) for p in pts])
+    C = np.array([p.as_vector() for p in pts])
     return _kernel_sum(alg, lam, C, coeffs, isinstance(pts[0], SiegelPoint))
 
 
@@ -797,7 +792,7 @@ def intertwine_check_tube(alg: AlgebraDescriptor, f: SparsePolynomial,
     if k < 0 or abs(mr - lam - k) > 1e-9:
         raise ValueError("m/r - lambda must be a non-negative integer")
     lam2 = lam + 2 * k
-    pts = np.array([point_vector(p) for p in test_points])
+    pts = np.array([p.as_vector() for p in test_points])
     worst = 0.0
     for phi in affine_maps:
         M, shift = domains.affine_chart(affine_inverse(phi))

@@ -215,8 +215,8 @@ def test_09_geometry_suite():
         for _ in range(1000):
             p = rand_bounded_scaled(alg, rng, 0.9)
             back = cayley_closed_form.inverse_cayley(
-                alg, spaces.point_vector(domains.cayley(p)))
-            worst = max(worst, float(np.max(np.abs(back - spaces.point_vector(p)))))
+                alg, domains.cayley(p).as_vector())
+            worst = max(worst, float(np.max(np.abs(back - p.as_vector()))))
         assert worst < 1e-10, alg.family
 
     # kernel transformation law under the sampled Mobius maps

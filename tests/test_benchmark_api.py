@@ -4,13 +4,18 @@ The benchmark's files are parsed with ast, never imported or edited. Every
 attribute of a symcone module that they read must exist, every call they
 make must bind to its function's signature, and the Siegel sampler configs
 they build must still be accepted by bergman_norm_mc. So a change that
-would crash a benchmark run fails here first.
+would crash a benchmark run fails here first. Importing the package must
+build nothing, since every workload's setup_s pays for the imports.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,3 +145,31 @@ def test_every_traced_name_is_a_symcone_function():
         if not inspect.isfunction(obj):
             missing.add(name)
     assert missing == STALE_TRACED
+
+
+# the package's modules, all of which `symcone.cli` loads; every workload's
+# setup_s pays for what they do at import time
+IMPORTED = ("cli", "spaces", "fischer", "poly", "wallach", "domains", "cones", "eja")
+
+# run in a fresh interpreter with the module names as arguments: prints the
+# size of every functools.cache table of poly and wallach and of fischer's
+# projector table
+_SIZES_AFTER_IMPORT = """
+import functools, importlib, json, sys
+mods = {m: importlib.import_module("symcone." + m) for m in sys.argv[1:]}
+sizes = {m + "." + k: v.cache_info().currsize
+         for m in ("poly", "wallach") for k, v in vars(mods[m]).items()
+         if isinstance(v, functools._lru_cache_wrapper)}
+sizes["fischer._PROJECTORS"] = len(mods["fischer"]._PROJECTORS)
+print(json.dumps(sizes))
+"""
+
+
+def test_importing_the_package_builds_nothing():
+    path = [str(PERFBENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", _SIZES_AFTER_IMPORT, *IMPORTED],
+                         env=env, capture_output=True, text=True, check=True)
+    sizes = json.loads(out.stdout)
+    assert {"poly.monomial_table", "wallach.graded_signatures"} <= set(sizes)
+    assert not any(sizes.values()), sizes

@@ -127,13 +127,26 @@ def test_spectral_norm_of_a_row_matches_its_point_bitwise(alg):
 
 
 def test_points_keep_the_rows_of_nearly_real_points():
-    # a row 1e-11 or 1e-12 off the real points comes back from the point's
-    # as_vector(): the element is complex, no imaginary part is dropped
-    for alg, v in ((eja.herm_complex(1), [0.1 + 1e-11j]),
-                   (eja.sym_real(2), [0.1 + 1e-11j, -0.2, 0.3 - 1e-12j])):
-        v = np.array(v)
+    # on every family, a row 1e-11 or 1e-12 off the real points is its
+    # point's as_vector(), bit for bit, in both pictures; a point built from
+    # (z1, zeta) stores the z-chart of z1 and then zeta, and gives both back
+    rng = np.random.default_rng(42)
+    for alg in ALGS:
+        v = (0.3 * rng.uniform(-1, 1, alg.zdim)
+             + 1j * rng.choice([0.0, 1e-11, -1e-12], alg.zdim))
         for make in (domains.bounded_from_vector, domains.siegel_from_vector):
-            assert np.abs(make(alg, v).as_vector() - v).max() <= 1e-15
+            assert np.array_equal(make(alg, v).as_vector(), v), alg
+        x = Element(alg, rng.normal(size=alg.dim_m) + 1e-11j * rng.normal(size=alg.dim_m))
+        shape = (alg.size, alg.cols - alg.size)
+        zeta = rng.normal(size=shape) + 1j * rng.normal(size=shape) if alg.siegel_n else None
+        row = eja.to_zchart(x)
+        if alg.siegel_n:
+            row = np.concatenate([row, zeta.ravel()])
+        for p, back in ((BoundedPoint(alg, x, zeta), lambda p: p.z1),
+                        (SiegelPoint(alg, zeta, x), lambda p: p.z)):
+            assert np.array_equal(p.as_vector(), row), alg
+            assert (p.zeta is None) if zeta is None else np.array_equal(p.zeta, zeta)
+            assert np.allclose(back(p).coords, x.coords, rtol=0, atol=1e-15), alg
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +167,7 @@ def test_phi_form_closed_form_and_positivity():
 
 def test_phi_form_is_twice_triple_product_with_identity():
     alg = eja.herm_complex(2, 3)
-    e_full = eja.full_matrix(eja.identity(alg).as_complex(),
-                             np.zeros((2, 1), dtype=complex))
+    e_full = BoundedPoint(alg, eja.identity(alg), np.zeros((2, 1))).full_matrix()
     for _ in range(10):
         z = RNG.normal(size=(2, 1)) + 1j * RNG.normal(size=(2, 1))
         w = RNG.normal(size=(2, 1)) + 1j * RNG.normal(size=(2, 1))
@@ -163,7 +175,7 @@ def test_phi_form_is_twice_triple_product_with_identity():
         Wf = np.concatenate([np.zeros((2, 2)), w], axis=1)
         got = 2.0 * eja.triple_product_full(alg, Zf, Wf, e_full)
         phi = domains.phi_form(alg, z, w)
-        want = eja.full_matrix(phi, np.zeros((2, 1), dtype=complex))
+        want = BoundedPoint(alg, phi, np.zeros((2, 1))).full_matrix()
         assert np.allclose(got, want, atol=1e-12)
 
 

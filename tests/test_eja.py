@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symcone import eja
+from symcone.domains import BoundedPoint
 
 RNG = np.random.default_rng(20240811)
 
@@ -211,8 +212,8 @@ def test_trace_ratio_of_d_operator():
                 w = eja.triple_product(x.as_complex(), y.as_complex(), b.as_complex())
                 tr += np.vdot(v, eja.to_zchart(w))
         else:
-            X = eja.full_matrix(x.as_complex())
-            Y = eja.full_matrix(y.as_complex())
+            X = BoundedPoint(alg, x).full_matrix()
+            Y = BoundedPoint(alg, y).full_matrix()
             p, q = X.shape
             tr = 0.0
             for i in range(p):

@@ -99,9 +99,9 @@ def test_gram_rows_keep_nearly_real_points_apart():
 
 
 def test_gram_of_points_is_the_gram_of_their_rows():
-    # a caller with points stacks point_vector
+    # a caller with points stacks their rows (as_vector)
     pts = [disc_pt(0.3 + 0.2j), disc_pt(-0.5j), disc_pt(0.1)]
-    V = np.array([spaces.point_vector(p) for p in pts])
+    V = np.array([p.as_vector() for p in pts])
     G = spaces.gram_matrix(1.5, DISC, V)
     want = [[domains.kernel_bounded(1.5, p, q) for q in pts] for p in pts]
     assert np.allclose(G, want, rtol=1e-14, atol=0)
@@ -183,7 +183,7 @@ def test_wallach_search_makes_one_verdict_per_trial(monkeypatch):
 
 
 # the point-based search that the row search replaced: every proposal built
-# into a point and tested as one, a Gram matrix of the stacked point_vector
+# into a point and tested as one, a Gram matrix of the stacked as_vector
 # rows; the reference for the row search's stream, verdict and ratio
 
 def _ref_sample_bounded(alg, rng):
@@ -243,7 +243,7 @@ def _ref_search(lam, alg, trials, rng, realization):
                        for v in domains.sample_siegel(alg, n, rng)]
             else:
                 pts = [_ref_sample_bounded(alg, rng) for _ in range(n)]
-        V = np.array([spaces.point_vector(p) for p in pts])
+        V = np.array([p.as_vector() for p in pts])
         rep = spaces.psd_verdict(lam, alg, V, realization)
         if worst is None or rep.ratio < worst.ratio:
             worst = rep
@@ -817,6 +817,28 @@ def test_sup_norm_affine_invariance():
         grid2 = [domains.affine_apply(phi, p) for p in grid]
         v = spaces.sup_norm_max_space(moved, lam, grid2)
         assert v == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("alg", [SR2, BALL2, eja.herm_complex(2, 3),
+                                 eja.spin_factor(4)], ids=str)
+def test_siegel_bergman_norm_is_invariant_under_the_affine_action(alg):
+    # U_lambda(phi) is unitary on the Siegel Bergman space: the estimate of
+    # ||U_lambda(phi) T f||^2 lies within 5 of its own standard errors of
+    # 2^(2 dim_m) c_lambda ||f||^2_lambda, the value for phi = 1. The moved
+    # function is not a transport, so its importance weights are unbounded;
+    # spread 0.2 keeps their tail light (at 0.5 with this seed one
+    # herm_complex(2, 3) map read -32 standard errors, and spin_factor(4)
+    # had a 50 % relative standard error)
+    rng = np.random.default_rng(47)
+    lam = alg.genus + 0.5
+    p = rand_poly(alg.zdim, 2, rng)
+    tf = spaces.transport_to_siegel(spaces.poly_function(alg, p), lam)
+    want = (2.0 ** (2 * alg.dim_m) * domains.bergman_constant(alg, lam)
+            * spaces.h_lambda_norm_sq(p, lam, alg, 2)[0])
+    for _ in range(3):
+        moved = spaces.u_lambda_affine(tf, rand_affine(alg, rng, spread=0.2), lam)
+        norm, se = spaces.bergman_norm_mc(moved, lam, alg, 200_000, rng, "siegel")
+        assert abs(norm ** 2 - want) <= 5 * 2 * norm * se, (norm ** 2, want)
 
 
 @pytest.mark.parametrize("alg", [SR2, BALL2, eja.herm_complex(2, 3)], ids=str)
